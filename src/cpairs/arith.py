@@ -92,8 +92,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-Valuation = "int | _Infinity"  # documentation alias; see valuation()
-
 
 def _sieve(limit: int) -> list[int]:
     if limit < 2:
@@ -340,12 +338,16 @@ def _iroot(n: int, k: int) -> int:
         raise ValueError("bad _iroot arguments")
     if n in (0, 1):
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k == 2:
+        return math.isqrt(n)
+    # integer Newton from above: starts at a power of two >= the root and
+    # decreases strictly until it reaches the floor
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def enumerate_m_full(bound: int, m: int) -> list[int]:

@@ -13,7 +13,7 @@ machine-readable witnesses (failing prime, support flags, block assignment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -56,8 +56,6 @@ class LogCondition:
 
 LOG = LogCondition()
 
-MultCondition = "AtLeast | DivisibleBy | UnionCondition | LogCondition"
-
 
 def condition_element_union(cond) -> SemigroupUnion:
     """The set of accepted finite multiplicities, as a semigroup union."""
@@ -97,19 +95,26 @@ def cpair_coefficient(cond) -> Fraction:
 
 @dataclass(frozen=True)
 class CPairSpec:
-    """Ordered divisor labels, each with its multiplicity condition."""
+    """Ordered divisor labels, each with its multiplicity condition.
+
+    `unions` holds each condition's element union, built once here (which
+    also type-checks the condition) so that point checks reuse its
+    membership structure.
+    """
 
     divisors: tuple[tuple[str, object], ...]
+    unions: tuple[SemigroupUnion, ...] = field(compare=False, repr=False)
 
     def __init__(self, divisors: Iterable[tuple[str, object]]):
         entries = tuple((str(lbl), cond) for lbl, cond in divisors)
-        seen = set()
+        seen, unions = set(), []
         for lbl, cond in entries:
             if lbl in seen:
                 raise ValueError(f"duplicate divisor label {lbl!r}")
             seen.add(lbl)
-            condition_element_union(cond)  # type check
+            unions.append(condition_element_union(cond))
         object.__setattr__(self, "divisors", entries)
+        object.__setattr__(self, "unions", tuple(unions))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.divisors)
@@ -204,11 +209,18 @@ class DivisorValuations:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "DivisorValuations":
-        return cls(contained=obj.get("contained", False),
-                   mults=[(p, m) for p, m in obj.get("mults", [])])
-
-
-ValuationVector = "Mapping[str, DivisorValuations]"
+        """Inverse of to_json_obj; a malformed shape raises ValueError."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("expected an object with 'contained' and 'mults'")
+        contained = obj.get("contained", False)
+        if not isinstance(contained, bool):
+            raise ValueError("'contained' must be true or false")
+        mults = obj.get("mults", [])
+        if not isinstance(mults, list) or not all(
+            isinstance(pm, list) and len(pm) == 2 and all(type(x) is int for x in pm) for pm in mults
+        ):
+            raise ValueError("'mults' must be a list of [prime, multiplicity] integer pairs")
+        return cls(contained=contained, mults=[(p, m) for p, m in mults])
 
 
 def vector_to_json_obj(vec: Mapping[str, DivisorValuations]) -> dict:
@@ -216,7 +228,16 @@ def vector_to_json_obj(vec: Mapping[str, DivisorValuations]) -> dict:
 
 
 def vector_from_json_obj(obj: Mapping) -> dict[str, DivisorValuations]:
-    return {str(lbl): DivisorValuations.from_json_obj(dv) for lbl, dv in obj.items()}
+    """Object of label -> valuation data; errors name the offending label."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("valuation vector must be an object mapping divisor labels to valuation data")
+    vec = {}
+    for lbl, dv in obj.items():
+        try:
+            vec[str(lbl)] = DivisorValuations.from_json_obj(dv)
+        except ValueError as e:
+            raise ValueError(f"divisor {lbl!r}: {e}") from None
+    return vec
 
 
 # -- point verdicts ----------------------------------------------------------
@@ -245,7 +266,7 @@ class PointVerdict:
         return min(ps) if ps else None
 
 
-def _check_divisor(label: str, cond, data: DivisorValuations) -> DivisorVerdict:
+def _check_divisor(label: str, cond, union: SemigroupUnion, data: DivisorValuations) -> DivisorVerdict:
     if isinstance(cond, LogCondition):
         if data.contained:
             return DivisorVerdict(label, passed=False, in_support=True)
@@ -257,7 +278,6 @@ def _check_divisor(label: str, cond, data: DivisorValuations) -> DivisorVerdict:
         # supported convention: a point inside the divisor satisfies any finite
         # condition, but the verdict is flagged so callers can filter it out
         return DivisorVerdict(label, passed=True, in_support=True)
-    union = condition_element_union(cond)
     for p, m in data.mults:
         if not union.contains(m):
             return DivisorVerdict(label, passed=False, witness_prime=p)
@@ -272,7 +292,8 @@ def _check_point(spec: CPairSpec, vec: Mapping[str, DivisorValuations], allowed)
     for lbl, cond in spec.divisors:
         if allowed is not None and not isinstance(cond, (*allowed, LogCondition)):
             raise ValueError(f"divisor {lbl!r}: condition {format_condition(cond)!r} not allowed here")
-    verdicts = tuple(_check_divisor(lbl, cond, vec[lbl]) for lbl, cond in spec.divisors)
+    verdicts = tuple(_check_divisor(lbl, cond, union, vec[lbl])
+                     for (lbl, cond), union in zip(spec.divisors, spec.unions))
     return PointVerdict(accepted=all(v.passed for v in verdicts), divisors=verdicts)
 
 

@@ -3,8 +3,12 @@
 A `NumericalSemigroup` is the additive closure of a finite generator set
 inside the positive integers (0 is never an element here; the classical
 Frobenius convention still treats it as reachable, so frobenius(<1>) == -1).
-Membership runs on a DP table of size O(min * max) over the gcd-scaled
-generators, which is plenty for the generator sizes this package works with.
+Membership runs on the Apery set of the gcd-scaled semigroup with respect to
+its smallest generator a1: Ap[r] is the least element congruent to r mod a1
+(Ap[0] = 0), so n is in S exactly when n >= Ap[n mod a1].  The set is built
+by the round-robin algorithm of Boecker and Liptak ("A fast and simple
+algorithm for the money changing problem", Algorithmica 2007) in O(k * a1)
+time and O(a1) memory for k generators, once per semigroup.
 
 Text forms: "<a,b,c>" generated, "<m.." for everything >= m, "{}" empty,
 "|" separates union blocks.
@@ -44,25 +48,31 @@ class NumericalSemigroup:
         return self.generators[0] if self.generators else None
 
     @cached_property
-    def _scaled(self) -> tuple[tuple[int, ...], list[bool], int]:
-        """(scaled generators, membership table, frobenius of the scaled semigroup).
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(gcd g of the generators, Apery set of S/g with respect to its smallest generator).
 
-        The scaled semigroup has gcd 1; table[n] answers n in S' for
-        0 <= n <= bound, and every integer beyond the stored frobenius is in.
+        Round-robin (Boecker-Liptak): add the generators one at a time; a new
+        generator a walks each residue cycle r -> r + a (mod a1) from the
+        cycle's least entry, lowering every entry it can reach more cheaply.
         """
         g = self.gcd
-        gens = tuple(x // g for x in self.generators)
-        bound = gens[0] * gens[-1] + gens[-1] + 1
-        table = [False] * (bound + 1)
-        table[0] = True  # monoid trick: makes table[n] = "n is a sum of generators"
-        for n in range(1, bound + 1):
-            table[n] = any(n >= a and table[n - a] for a in gens)
-        frob = -1
-        for n in range(bound, 0, -1):
-            if not table[n]:
-                frob = n
-                break
-        return gens, table, frob
+        a1, *rest = (x // g for x in self.generators)
+        ap: list[int | None] = [0] + [None] * (a1 - 1)
+        for a in rest:
+            d = math.gcd(a1, a)
+            for p in range(d):
+                reached = [ap[r] for r in range(p, a1, d) if ap[r] is not None]
+                if not reached:
+                    continue
+                n = min(reached)
+                for _ in range(a1 // d - 1):
+                    n += a
+                    r = n % a1
+                    if ap[r] is not None and ap[r] < n:
+                        n = ap[r]
+                    else:
+                        ap[r] = n
+        return g, ap
 
     # -- queries -----------------------------------------------------------
 
@@ -71,12 +81,11 @@ class NumericalSemigroup:
             raise ValueError(f"membership is defined on Z>=1, got {n}")
         if self.is_empty:
             return False
-        g = self.gcd
+        g, ap = self._scaled
         if n % g:
             return False
-        gens, table, frob = self._scaled
         n //= g
-        return True if n > frob else table[n]
+        return n >= ap[n % len(ap)]
 
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
@@ -88,12 +97,15 @@ class NumericalSemigroup:
         """Minimal generators: elements that are not a sum of two elements."""
         if self.is_empty:
             return ()
-        g = self.gcd
-        gens, table, _ = self._scaled
+        g, ap = self._scaled
+        a1 = len(ap)
         out = []
-        for a in gens:
-            if not any(table[f] and table[a - f] for f in range(1, a)):
-                out.append(a * g)
+        for x in self.generators:
+            a = x // g
+            # both parts of a split a = f + (a - f) are elements, hence >= a1;
+            # by symmetry the smaller part is at most a/2
+            if not any(f >= ap[f % a1] and a - f >= ap[(a - f) % a1] for f in range(a1, a // 2 + 1)):
+                out.append(x)
         return tuple(out)
 
     @property
@@ -105,7 +117,8 @@ class NumericalSemigroup:
         """Largest integer outside the semigroup (-1 for <1>, classical convention)."""
         if not self.is_cofinite:
             raise ValueError("frobenius number requires a cofinite semigroup")
-        return self._scaled[2]
+        _, ap = self._scaled
+        return max(ap) - len(ap)
 
     @staticmethod
     def from_lower_bound(m: int) -> "NumericalSemigroup":

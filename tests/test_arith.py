@@ -24,6 +24,7 @@ from cpairs.arith import (
     parse_rational,
     valuation,
 )
+from cpairs.arith import _iroot
 
 from _oracles import mfull_by_filter, sympy_valuations
 
@@ -133,6 +134,14 @@ def test_enumerate_m_full_fixtures():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_enumerate_matches_filter_oracle(m):
     assert enumerate_m_full(2000, m) == mfull_by_filter(2000, m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_iroot_exact_beyond_float_range(k):
+    assert _iroot(10**400, 2) == 10**200
+    for r in (2**64 + 1, 10**120 + 7, 3**500):
+        assert _iroot(r**k - 1, k) == r - 1
+        assert _iroot(r**k, k) == r
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=2, max_value=4))

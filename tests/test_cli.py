@@ -90,6 +90,13 @@ def test_cpair_check_strict_and_files(tmp_path, capsys):
     assert obj["accepted"] is False and obj["divisors"][0]["witness"] == 3
 
 
+@pytest.mark.parametrize("point", ['[1]', '{"D": 5}', '{"D": {"mults": 5}}'])
+def test_cpair_check_malformed_point_shape_exits_2(capsys, point):
+    code, out, err = run(capsys, "cpair", "check", "--pair", "D: >=2", "--point", point)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cpair_divisor(capsys):
     code, out, _ = run(capsys, "cpair", "divisor", "--pair", "0: >=2; 1: inf; 2: >=1")
     assert jlines(out)[0]["coefficients"] == [["0", "1/2"], ["1", "1"], ["2", "0"]]

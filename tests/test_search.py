@@ -176,10 +176,16 @@ def test_p1_fixture_small_height():
 
 
 def test_p1_matches_oracle():
-    oracle_divisors = [((0, 1), 2), ((1, 1), 2), ((1, 0), 2)]
-    for s in ((), (2,)):
-        got = {(r.p, r.q) for r in enumerate_campana_points_p1(HALF, s, 25)}
-        assert got == oracle_p1_accepts(oracle_divisors, s, 25)
+    cases = [
+        (25, [((0, 1), 2), ((1, 1), 2), ((1, 0), 2)]),
+        # a large m at 0 and a different m at infinity, at a small height
+        (12, [((0, 1), 40), ((1, 1), 2), ((1, 0), 3)]),
+    ]
+    for height, oracle_divisors in cases:
+        divisors = [(pt, AtLeast(m)) for pt, m in oracle_divisors]
+        for s in ((), (2,)):
+            got = {(r.p, r.q) for r in enumerate_campana_points_p1(divisors, s, height)}
+            assert got == oracle_p1_accepts(oracle_divisors, s, height)
 
 
 def test_p1_log_divisor():

@@ -14,7 +14,22 @@ from cpairs.semigroups import (
 
 from _oracles import naive_atoms, naive_frobenius, naive_semigroup_elements
 
-gen_sets = st.sets(st.integers(min_value=1, max_value=14), min_size=1, max_size=5)
+
+@st.composite
+def _gen_sets(draw):
+    """Generator sets whose smallest element reaches 60 before scaling, so
+    Apery sets have up to 60 residues; some share a factor (gcd > 1) and some
+    carry a redundant generator, the sum of two others."""
+    gens = draw(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=5))
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    gens = {scale * g for g in gens}
+    if draw(st.booleans()):
+        pool = sorted(gens)
+        gens.add(draw(st.sampled_from(pool)) + draw(st.sampled_from(pool)))
+    return gens
+
+
+gen_sets = _gen_sets()
 
 
 @given(gen_sets)
