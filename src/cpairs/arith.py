@@ -380,42 +380,45 @@ def enumerate_m_full(bound: int, m: int) -> list[int]:
     return sorted(out)
 
 
-def decompose_square_cube(
-    x: "Fraction | int", ctx: SIntegerContext
-) -> tuple[Fraction, Fraction]:
-    """Write a 2-full S-integer x as a^2 * b^3 with S-integers a, b.
+def m_full_count_bound(bound: int, m: int) -> int:
+    """An upper bound on the count of m-full integers in [1, bound], for bound >= 1.
 
-    Per prime the exponent e splits as e = 2*alpha + 3*beta with beta = e mod 2
-    (the minimal beta in {0, 1}); away from S, 2-fullness makes alpha >= 0.
-    The sign rides on b.  By convention decompose(0) = (0, 1).
+    Each one is a^m * prod_{0<j<m} b_j^(m+j) for some integers a, b_j >= 1, so
+    there are at most bound^(1/m) * prod_j zeta(1 + j/m) of them, and
+    zeta(s) < s/(s-1) turns the product into C(2m-1, m).
     """
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0), Fraction(1)
-    w = m_full_witness(x, 2, ctx)
-    if w is not None:
-        raise DecompositionError(x, w, "not 2-full away from S")
-    a, b = Fraction(1), Fraction(1)
-    fz = factor(x)
-    if fz.sign < 0:
-        b = -b
-    for p, e in fz.factors:
-        beta = e % 2
-        alpha = (e - 3 * beta) // 2
-        a *= Fraction(p) ** alpha
-        b *= Fraction(p) ** beta
-    return a, b
+    r = _iroot(bound, m)
+    return math.comb(2 * m - 1, m) * (r + (r**m < bound))
 
 
-def decompose_coprime_square_cube(
-    x: "Fraction | int", ctx: SIntegerContext
-) -> tuple[Fraction, Fraction]:
-    """Write x = a^2 * b^3 with gcd(a, b) an S-unit.
+def _split_minimal(e: int) -> tuple[int, int]:
+    """e = 2*alpha + 3*beta with the minimal beta = e mod 2."""
+    return (e - 3 * (e % 2)) // 2, e % 2
 
-    Needs every exponent at a prime outside S to lie in 2Z union 3Z; such a
-    prime goes entirely to a (even exponent; ties for 6Z) or to b (multiple of
-    three).  At S-primes the split is free, so the minimal-beta rule applies.
-    Raises DecompositionError naming the smallest offending prime.
+
+def split_2full(e: int) -> "tuple[int, int] | None":
+    """The minimal-beta split of e; None when e < 2 (so that alpha < 0)."""
+    return None if e < 2 else _split_minimal(e)
+
+
+def split_coprime(e: int) -> "tuple[int, int] | None":
+    """All of e to the square when even (ties in 6Z included), else all to the cube.
+
+    None when e is in neither 2Z nor 3Z.
+    """
+    if e % 2 == 0:
+        return e // 2, 0
+    if e % 3 == 0:
+        return 0, e // 3
+    return None
+
+
+def _decompose(x: "Fraction | int", ctx: SIntegerContext, split, reason: str) -> tuple[Fraction, Fraction]:
+    """Write the S-integer x as a^2 * b^3, splitting each exponent by its prime.
+
+    At S-primes the split is free, so e takes the minimal beta = e mod 2 (e may
+    be negative there); elsewhere `split` decides, and the smallest prime it
+    rejects raises DecompositionError.  The sign rides on b; decompose(0) = (0, 1).
     """
     x = Fraction(x)
     if x == 0:
@@ -423,23 +426,29 @@ def decompose_coprime_square_cube(
     wit = _s_integer_witness(x, ctx)
     if wit is not None:
         raise NotAnSIntegerError(x, wit)
-    a, b = Fraction(1), Fraction(1)
     fz = factor(x)
-    if fz.sign < 0:
-        b = -b
-    for p, e in sorted(fz.factors):
-        if p in ctx.primes:
-            beta = e % 2
-            alpha = (e - 3 * beta) // 2
-            a *= Fraction(p) ** alpha
-            b *= Fraction(p) ** beta
-        elif e % 2 == 0:
-            a *= Fraction(p) ** (e // 2)
-        elif e % 3 == 0:
-            b *= Fraction(p) ** (e // 3)
-        else:
-            raise DecompositionError(x, p, "exponent not in 2Z union 3Z")
+    a, b = Fraction(1), Fraction(fz.sign)
+    for p, e in fz.factors:
+        ab = _split_minimal(e) if p in ctx.primes else split(e)
+        if ab is None:
+            raise DecompositionError(x, p, reason)
+        a *= Fraction(p) ** ab[0]
+        b *= Fraction(p) ** ab[1]
     return a, b
+
+
+def decompose_square_cube(
+    x: "Fraction | int", ctx: SIntegerContext
+) -> tuple[Fraction, Fraction]:
+    """Write a 2-full S-integer x as a^2 * b^3 with S-integers a, b (rule `split_2full`)."""
+    return _decompose(x, ctx, split_2full, "not 2-full away from S")
+
+
+def decompose_coprime_square_cube(
+    x: "Fraction | int", ctx: SIntegerContext
+) -> tuple[Fraction, Fraction]:
+    """Write x = a^2 * b^3 with gcd(a, b) an S-unit (rule `split_coprime` outside S)."""
+    return _decompose(x, ctx, split_coprime, "exponent not in 2Z union 3Z")
 
 
 def format_rational(x: "Fraction | int") -> str:

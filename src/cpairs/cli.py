@@ -31,7 +31,11 @@ class CliError(Exception):
 
 # -- config files -------------------------------------------------------------
 
-CONFIG_KEYS = ("s", "bound", "height", "format", "strict", "jobs", "m")
+CONFIG_KEYS = ("s", "bound", "height", "format", "strict", "m")
+
+# The most integers one command may scan or list; a larger request exits 2
+# before anything is allocated.
+MAX_SCAN = 10**7
 
 
 def load_config(path: str) -> dict[str, tuple[str, int, int]]:
@@ -119,14 +123,6 @@ class Options:
     def strict(self) -> bool:
         v = getattr(self.args, "strict", None)
         return self._pick("strict", v, _conv_bool, False)
-
-    @property
-    def jobs(self) -> int:
-        v = getattr(self.args, "jobs", None)
-        n = self._pick("jobs", v, _conv_int, 1)
-        if n < 1:
-            raise CliError(f"--jobs must be >= 1, got {n}")
-        return n
 
     @property
     def s_primes(self) -> tuple[int, ...]:
@@ -239,8 +235,15 @@ def cmd_mfull_check(args, opt: Options) -> int:
     return 1 if opt.strict and not full else 0
 
 
+def _check_scan(count: int, what: str) -> None:
+    if count > MAX_SCAN:
+        raise CliError(f"{what} may scan or list up to {count} integers, over the limit of {MAX_SCAN}")
+
+
 def cmd_mfull_list(args, opt: Options) -> int:
     m = opt.m(default=2)
+    if m >= 1 and args.bound_pos >= 1:
+        _check_scan(arith.m_full_count_bound(args.bound_pos, m), "mfull list")
     values = arith.enumerate_m_full(args.bound_pos, m)
     obj = {"bound": args.bound_pos, "m": m, "count": len(values), "values": values}
     rows = [{"__json__": obj, "bound": args.bound_pos, "m": m, "count": len(values),
@@ -285,6 +288,7 @@ def cmd_semigroup(args, opt: Options) -> int:
         return 1 if opt.strict and not ok else 0
     if action == "elements":
         bound = opt.bound()
+        _check_scan(bound, "semigroup elements")
         els = sg.elements_up_to(bound)
         obj = {"semigroup": text, "bound": bound, "count": len(els), "elements": els}
         rows = [{"__json__": obj, "semigroup": text, "bound": bound, "count": len(els),
@@ -552,7 +556,6 @@ def cmd_search(args, opt: Options) -> int:
         exponent_bound=opt.bound(),
         include_negative_units=not args.no_negative,
         include_support_points=not args.no_support,
-        jobs=opt.jobs,
     )
     fn = {"2full": search_mod.search_shifted_units_2full,
           "2or3": search_mod.search_shifted_units_2or3}[args.kind]
@@ -636,8 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plain-text config file presetting common flags")
     common.add_argument("--s", default=None, metavar="P,P,...",
                         help="excluded primes S (comma separated, empty for none)")
-    common.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="parallel workers for searches")
 
     p = _Parser(prog="cpairs", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)

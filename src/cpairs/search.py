@@ -1,17 +1,21 @@
 """Shifted S-unit searches and bounded-height point enumeration on the line.
 
-Two sweeps over S-units x (exponent vectors bounded in sup-norm):
+Both sweeps run one procedure over the S-units x (exponent vectors bounded
+in sup-norm).  The shift x - 1 is factored once; its verdict comes from a
+split rule applied to each exponent at a prime outside S, and the witness of
+a rejection is the smallest prime whose exponent the rule refuses.  An
+accepted x lifts u = 1 - x to u = a^2 * b^3, the same rule splitting each
+exponent between the square and the cube:
 
-* `search_shifted_units_2full` keeps x when x - 1 is 2-full away from S and
-  lifts u = 1 - x to u = a^2 * b^3 (a point of the ambient model X);
-* `search_shifted_units_2or3` keeps x when every valuation of x - 1 outside S
-  is divisible by 2 or by 3 and produces a coprime lift (a point of the
-  quotient model Y).
+* `search_shifted_units_2full` uses `split_2full` (x - 1 is 2-full away from
+  S) and lifts to a point of the ambient model X;
+* `search_shifted_units_2or3` uses `split_coprime` (every valuation outside S
+  lies in 2Z or 3Z) and lifts to a coprime point of the quotient model Y.
 
 Every accepted record is re-verified on the spot (product identity, unit
 condition, coprimality for Y); a failure there is a hard internal error, not
-a rejection.  Records are sorted by (|numerator|, denominator, sign) with
-sign ascending, so -x precedes x.
+a rejection.  Candidates are scanned serially, and records are sorted by
+(|numerator|, denominator, sign) with sign ascending, so -x precedes x.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Iterable, Mapping, Sequence
 
 from .arith import (
@@ -33,8 +36,10 @@ from .arith import (
     is_probable_prime,
     is_s_integer,
     is_s_unit,
-    m_full_witness,
+    m_full_witness,  # noqa: F401 -- unused here, but perfbench/spans.py traces it by this name
     parse_rational,
+    split_2full,
+    split_coprime,
 )
 from .conditions import (
     CPairSpec,
@@ -50,24 +55,19 @@ class SearchConfig:
     exponent_bound: int
     include_negative_units: bool = True
     include_support_points: bool = True
-    jobs: int = 1
 
     def __init__(self, s_primes: Iterable[int] = (), exponent_bound: int = 0,
-                 include_negative_units: bool = True, include_support_points: bool = True,
-                 jobs: int = 1):
+                 include_negative_units: bool = True, include_support_points: bool = True):
         ps = tuple(sorted(set(int(p) for p in s_primes)))
         for p in ps:
             if not is_probable_prime(p):
                 raise ValueError(f"S must consist of primes, got {p}")
         if exponent_bound < 0:
             raise ValueError("exponent bound must be >= 0")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         object.__setattr__(self, "s_primes", ps)
         object.__setattr__(self, "exponent_bound", int(exponent_bound))
         object.__setattr__(self, "include_negative_units", bool(include_negative_units))
         object.__setattr__(self, "include_support_points", bool(include_support_points))
-        object.__setattr__(self, "jobs", int(jobs))
 
     def context(self) -> SIntegerContext:
         return SIntegerContext(self.s_primes)
@@ -171,42 +171,18 @@ def _candidates(cfg: SearchConfig) -> list[Fraction]:
     return xs
 
 
-def _two_or_three_witness(shift: Fraction, ctx: SIntegerContext) -> "int | None":
-    """Smallest prime outside S whose valuation of the shift is in neither 2Z nor 3Z."""
-    for p, e in factor(shift).factors:
-        if p in ctx.primes:
-            continue
-        if e % 2 != 0 and e % 3 != 0:
-            return p
-    return None
-
-
-def _record_2full(x: Fraction, ctx: SIntegerContext) -> PointRecord:
+def _record(x: Fraction, ctx: SIntegerContext, target: str, split, decompose) -> PointRecord:
     if x == 1:
-        return PointRecord(x=x, shifted=None, verdict="accept", target="X",
+        return PointRecord(x=x, shifted=None, verdict="accept", target=target,
                            lift=(Fraction(0), Fraction(1)), flags=("in_support",))
-    shift = x - 1
-    fz = factor(shift)
-    w = m_full_witness(shift, 2, ctx)
-    if w is not None:
-        return PointRecord(x=x, shifted=fz, verdict="reject", target="X", witness_prime=w)
-    a, b = decompose_square_cube(1 - x, ctx)
-    _assert_lift(x, a, b, ctx, want_coprime=False)
-    return PointRecord(x=x, shifted=fz, verdict="accept", target="X", lift=(a, b))
-
-
-def _record_2or3(x: Fraction, ctx: SIntegerContext) -> PointRecord:
-    if x == 1:
-        return PointRecord(x=x, shifted=None, verdict="accept", target="Y",
-                           lift=(Fraction(0), Fraction(1)), flags=("in_support",))
-    shift = x - 1
-    fz = factor(shift)
-    w = _two_or_three_witness(shift, ctx)
-    if w is not None:
-        return PointRecord(x=x, shifted=fz, verdict="reject", target="Y", witness_prime=w)
-    a, b = decompose_coprime_square_cube(1 - x, ctx)
-    _assert_lift(x, a, b, ctx, want_coprime=True)
-    return PointRecord(x=x, shifted=fz, verdict="accept", target="Y", lift=(a, b))
+    fz = factor(x - 1)
+    for p, e in fz.factors:
+        # rejects dominate a sweep, so they stay cheap: no second factor, no raise
+        if p not in ctx.primes and split(e) is None:
+            return PointRecord(x=x, shifted=fz, verdict="reject", target=target, witness_prime=p)
+    a, b = decompose(1 - x, ctx)
+    _assert_lift(x, a, b, ctx, want_coprime=target == "Y")
+    return PointRecord(x=x, shifted=fz, verdict="accept", target=target, lift=(a, b))
 
 
 def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, want_coprime: bool) -> None:
@@ -220,38 +196,20 @@ def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, wa
         raise AssertionError(f"coprime lift of x = {x} is not a quotient-model point")
 
 
-_WORKER = {"2full": _record_2full, "2or3": _record_2or3}
-
-
-def _scan_chunk(args) -> list[PointRecord]:
-    kind, xs, primes = args
-    ctx = SIntegerContext(primes)
-    rec = _WORKER[kind]
-    return [rec(x, ctx) for x in xs]
-
-
-def _run_search(kind: str, cfg: SearchConfig) -> list[PointRecord]:
-    xs = _candidates(cfg)
-    if cfg.jobs == 1 or len(xs) < 64:
-        records = _scan_chunk((kind, xs, cfg.s_primes))
-    else:
-        size = (len(xs) + cfg.jobs - 1) // cfg.jobs
-        chunks = [(kind, xs[i : i + size], cfg.s_primes) for i in range(0, len(xs), size)]
-        with Pool(cfg.jobs) as pool:
-            records = [r for part in pool.map(_scan_chunk, chunks) for r in part]
-    if not cfg.include_support_points:
-        records = [r for r in records if "in_support" not in r.flags]
-    return sorted(records, key=PointRecord.sort_key)
+def _run_search(cfg: SearchConfig, target: str, split, decompose) -> list[PointRecord]:
+    ctx = cfg.context()
+    return sorted((_record(x, ctx, target, split, decompose) for x in _candidates(cfg)
+                   if cfg.include_support_points or x != 1), key=PointRecord.sort_key)
 
 
 def search_shifted_units_2full(cfg: SearchConfig) -> list[PointRecord]:
     """Sweep S-units x, accepting those with x - 1 2-full away from S."""
-    return _run_search("2full", cfg)
+    return _run_search(cfg, "X", split_2full, decompose_square_cube)
 
 
 def search_shifted_units_2or3(cfg: SearchConfig) -> list[PointRecord]:
     """Sweep S-units x, accepting when each shift valuation outside S is in 2Z or 3Z."""
-    return _run_search("2or3", cfg)
+    return _run_search(cfg, "Y", split_coprime, decompose_coprime_square_cube)
 
 
 # -- bounded-height points on the projective line ------------------------------

@@ -20,8 +20,11 @@ from cpairs.arith import (
     is_m_full,
     is_s_integer,
     is_s_unit,
+    m_full_count_bound,
     m_full_witness,
     parse_rational,
+    split_2full,
+    split_coprime,
     valuation,
 )
 from cpairs.arith import _iroot
@@ -148,6 +151,24 @@ def test_iroot_exact_beyond_float_range(k):
 def test_enumerate_prefix_property(bound, m):
     full = enumerate_m_full(3000, m)
     assert enumerate_m_full(bound, m) == [n for n in full if n <= bound]
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=6))
+def test_m_full_count_bound_holds(bound, m):
+    assert len(enumerate_m_full(bound, m)) <= m_full_count_bound(bound, m)
+
+
+@pytest.mark.parametrize("split,rejects", [
+    (split_2full, lambda e: e < 2),
+    (split_coprime, lambda e: e % 2 and e % 3),
+])
+@given(e=st.integers(min_value=1, max_value=200))
+def test_split_rules(split, rejects, e):
+    ab = split(e)
+    assert (ab is None) == bool(rejects(e))
+    if ab is not None:
+        alpha, beta = ab
+        assert alpha >= 0 and beta >= 0 and 2 * alpha + 3 * beta == e
 
 
 def test_decompose_square_cube_fixtures():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cpairs.cli import json_line, main
+from cpairs.cli import MAX_SCAN, json_line, main
 
 
 def run(capsys, *argv):
@@ -207,12 +207,23 @@ def test_point_verify(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["no-such-command"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["search"])  # missing kind
-    assert e.value.code == 2
+    cases = [
+        (["no-such-command"], None),
+        (["search"], None),  # missing kind
+        (["search", "2full", "--s", "2", "--bound", "2", "--jobs", "2"], None),  # removed flag
+        (["mfull", "list", str(10**21)], str(MAX_SCAN)),
+        (["semigroup", "elements", "<2,3>", "--bound", str(10**11)], str(MAX_SCAN)),
+    ]
+    for argv, message in cases:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "Traceback" not in err
+        if message is not None:
+            assert message in err, argv
 
 
 # -- config files -------------------------------------------------------------------
@@ -252,6 +263,11 @@ def test_config_file_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "search", "2full", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2 and "cannot read" in err
+
+    jobs = tmp_path / "jobs.cfg"
+    jobs.write_text("s = 2\nbound = 1\njobs = 2\n")
+    code, _, err = run(capsys, "search", "2full", "--config", str(jobs))
+    assert code == 2 and f"{jobs}:3:1" in err and "unknown config key" in err
 
 
 def test_json_roundtrip_across_commands(capsys):
