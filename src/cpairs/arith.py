@@ -2,13 +2,23 @@
 
 Everything here is exact: rationals are `fractions.Fraction`, valuations are
 Python ints (or the `INFINITY` sentinel for v_p(0)), and no floats appear
-anywhere.  The factorization backend is trial division by small primes,
-deterministic Miller-Rabin, and Brent's cycle variant of Pollard rho, which is
-plenty for the desk-scale searches this package runs.
+anywhere.  The factorization backend is plenty for the desk-scale searches
+this package runs:
+
+* trial division by the primes below 10^4, batched by gcd: one gcd against
+  the product of all of them, then one per block of 64, and division only
+  inside the blocks that share a factor with n;
+* a cofactor below 10007^2 (10007 is the first prime past the trial primes)
+  with no trial-prime factor is prime outright;
+* deterministic Miller-Rabin above that, and Brent's cycle variant of
+  Pollard rho to split what it finds composite.
+
+`factor` takes ints without going through `Fraction`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,7 +114,15 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_TRIAL_PRIMES = _sieve(10_000)
+_TRIAL_LIMIT = 10_000
+_TRIAL_PRIMES = _sieve(_TRIAL_LIMIT)
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+_TRIAL_BLOCKS = tuple((tuple(block), math.prod(block))
+                      for block in (_TRIAL_PRIMES[i : i + 64] for i in range(0, len(_TRIAL_PRIMES), 64)))
+# An integer below the square of the first prime past the trial primes with no
+# trial-prime factor is prime; that first prime is the first such integer.
+_PRIME_BELOW = next(n for n in itertools.count(_TRIAL_LIMIT) if math.gcd(n, _TRIAL_PRODUCT) == 1) ** 2
 
 # Deterministic Miller-Rabin witness set; proven sufficient for n < 3.317e24
 # (Sorenson-Webster), far past anything this package factors.
@@ -112,12 +130,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24; strong-probable beyond."""
-    if n < 2:
-        return False
+    """Exact below 10007^2 by the trial primes; deterministic Miller-Rabin for
+    n < 3.3e24; strong-probable beyond."""
+    if n <= _TRIAL_PRIMES[-1]:
+        return n in _TRIAL_PRIME_SET
+    if n < _PRIME_BELOW:
+        return math.gcd(n, _TRIAL_PRODUCT) == 1
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -172,13 +193,24 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"_factor_positive expects n >= 1, got {n}")
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
+    g = math.gcd(n, _TRIAL_PRODUCT)  # the product of n's distinct trial primes
+    for block, product in _TRIAL_BLOCKS:
+        if g == 1:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
+        if math.gcd(g, product) == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                g //= p
+                n //= p
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+    if 1 < n < _PRIME_BELOW:
+        out[n] = 1
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()
@@ -231,6 +263,10 @@ class PrimeFactorization:
 
 def factor(x: "Fraction | int") -> PrimeFactorization:
     """Factor a nonzero rational; raises ZeroFactorizationError on 0."""
+    if type(x) is int:
+        if x == 0:
+            raise ZeroFactorizationError("0 has no prime factorization")
+        return PrimeFactorization(sign=1 if x > 0 else -1, factors=_factor_positive(abs(x)))
     x = Fraction(x)
     if x == 0:
         raise ZeroFactorizationError("0 has no prime factorization")
@@ -453,7 +489,8 @@ def decompose_coprime_square_cube(
 
 def format_rational(x: "Fraction | int") -> str:
     """Lowest-terms decimal string "p/q" (just "p" when q = 1)."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

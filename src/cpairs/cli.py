@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import arith, conditions, geometry, search as search_mod
 from .arith import SIntegerContext, format_rational, parse_rational
@@ -157,11 +158,14 @@ class Options:
 
 
 def json_line(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
+    return json.dumps(obj)  # separators ", " and ": ", the defaults, so the shared encoder serves
 
 
-def emit(rows: list[dict], columns: list[str], fmt: str, out=None) -> None:
-    """rows: flat csv/table cells by column; JSON objects ride in row["__json__"]."""
+def emit(rows: Iterable[dict], columns: list[str], fmt: str, out=None) -> None:
+    """rows: flat csv/table cells by column; JSON objects ride in row["__json__"].
+
+    json and csv read the rows once, so they may be a generator; table needs a list.
+    """
     out = out or sys.stdout
     if fmt == "json":
         for row in rows:
@@ -532,22 +536,17 @@ def cmd_space_report(args, opt: Options) -> int:
     return 0
 
 
-def _search_rows(records) -> list[dict]:
-    rows = []
-    for r in records:
-        obj = r.to_json_obj()
-        rows.append({
-            "__json__": obj,
-            "x": obj["x"],
-            "shift": _compact_factorization(r.shifted),
-            "verdict": r.verdict,
-            "witness": "" if r.witness_prime is None else r.witness_prime,
-            "lift_a": "" if r.lift is None else format_rational(r.lift[0]),
-            "lift_b": "" if r.lift is None else format_rational(r.lift[1]),
-            "target": r.target,
-            "flags": "+".join(r.flags),
-        })
-    return rows
+def _search_cells(r) -> dict:
+    return {
+        "x": format_rational(r.x),
+        "shift": _compact_factorization(r.shifted),
+        "verdict": r.verdict,
+        "witness": "" if r.witness_prime is None else r.witness_prime,
+        "lift_a": "" if r.lift is None else format_rational(r.lift[0]),
+        "lift_b": "" if r.lift is None else format_rational(r.lift[1]),
+        "target": r.target,
+        "flags": "+".join(r.flags),
+    }
 
 
 def cmd_search(args, opt: Options) -> int:
@@ -557,11 +556,16 @@ def cmd_search(args, opt: Options) -> int:
         include_negative_units=not args.no_negative,
         include_support_points=not args.no_support,
     )
+    signs = 2 if cfg.include_negative_units else 1
+    _check_scan(signs * (2 * cfg.exponent_bound + 1) ** len(cfg.s_primes), "search")
     fn = {"2full": search_mod.search_shifted_units_2full,
           "2or3": search_mod.search_shifted_units_2or3}[args.kind]
     records = fn(cfg)
-    emit(_search_rows(records),
-         ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], opt.fmt)
+    if opt.fmt == "json":  # streamed: one JSON object alive at a time, no csv cells
+        rows = ({"__json__": r.to_json_obj()} for r in records)
+    else:
+        rows = [_search_cells(r) for r in records]
+    emit(rows, ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], opt.fmt)
     return 0
 
 

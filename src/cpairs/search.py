@@ -1,7 +1,11 @@
 """Shifted S-unit searches and bounded-height point enumeration on the line.
 
 Both sweeps run one procedure over the S-units x (exponent vectors bounded
-in sup-norm).  The shift x - 1 is factored once; its verdict comes from a
+in sup-norm).  Candidates are integer triples x = sign * u / v in lowest
+terms, generated lazily from the exponent vectors, so v's factorization is
+known without factoring.  The shift is x - 1 = t / v with t = sign * u - v
+already reduced, so only t is factored, and once per orbit {x, 1/x}: both
+have the same |t|, which the factor cache holds.  The verdict comes from a
 split rule applied to each exponent at a prime outside S, and the witness of
 a rejection is the smallest prime whose exponent the rule refuses.  An
 accepted x lifts u = 1 - x to u = a^2 * b^3, the same rule splitting each
@@ -14,8 +18,9 @@ exponent between the square and the cube:
 
 Every accepted record is re-verified on the spot (product identity, unit
 condition, coprimality for Y); a failure there is a hard internal error, not
-a rejection.  Candidates are scanned serially, and records are sorted by
-(|numerator|, denominator, sign) with sign ascending, so -x precedes x.
+a rejection.  Candidates are sorted on the integer key (u, v, sign), which is
+(|numerator|, denominator, sign) with sign ascending, so -x precedes x, and
+scanned serially.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arith import (
     PrimeFactorization,
@@ -157,29 +162,41 @@ def verify_point_on_X(a: "Fraction | int", b: "Fraction | int", ctx: SIntegerCon
 # -- the sweeps ---------------------------------------------------------------
 
 
-def _candidates(cfg: SearchConfig) -> list[Fraction]:
+def _candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
+    """Lazily yield (sign, u, v, den): x = sign * u / v in lowest terms.
+
+    den holds v's primes with their (negative) exponents in x and in x - 1.
+    """
     b = cfg.exponent_bound
-    exps = itertools.product(range(-b, b + 1), repeat=len(cfg.s_primes))
-    xs = []
-    for ev in exps:
-        base = Fraction(1)
+    signs = (-1, 1) if cfg.include_negative_units else (1,)
+    for ev in itertools.product(range(-b, b + 1), repeat=len(cfg.s_primes)):
+        u = v = 1
+        den = []
         for p, e in zip(cfg.s_primes, ev):
-            base *= Fraction(p) ** e
-        xs.append(base)
-        if cfg.include_negative_units:
-            xs.append(-base)
-    return xs
+            if e > 0:
+                u *= p**e
+            elif e < 0:
+                v *= p**-e
+                den.append((p, e))
+        den = tuple(den)
+        for sign in signs:
+            yield sign, u, v, den
 
 
-def _record(x: Fraction, ctx: SIntegerContext, target: str, split, decompose) -> PointRecord:
-    if x == 1:
+def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, split,
+            decompose) -> PointRecord:
+    x = Fraction(sign * u, v)
+    t = sign * u - v
+    if t == 0:
         return PointRecord(x=x, shifted=None, verdict="accept", target=target,
                            lift=(Fraction(0), Fraction(1)), flags=("in_support",))
-    fz = factor(x - 1)
-    for p, e in fz.factors:
-        # rejects dominate a sweep, so they stay cheap: no second factor, no raise
-        if p not in ctx.primes and split(e) is None:
-            return PointRecord(x=x, shifted=fz, verdict="reject", target=target, witness_prime=p)
+    fz = factor(t)
+    witness = next((p for p, e in fz.factors if p not in ctx.primes and split(e) is None), None)
+    if den:  # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
+        fz = PrimeFactorization(sign=fz.sign, factors=tuple(sorted(fz.factors + den)))
+    if witness is not None:
+        # rejects dominate a sweep, so they stay cheap: no lift, no raise
+        return PointRecord(x=x, shifted=fz, verdict="reject", target=target, witness_prime=witness)
     a, b = decompose(1 - x, ctx)
     _assert_lift(x, a, b, ctx, want_coprime=target == "Y")
     return PointRecord(x=x, shifted=fz, verdict="accept", target=target, lift=(a, b))
@@ -198,8 +215,9 @@ def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, wa
 
 def _run_search(cfg: SearchConfig, target: str, split, decompose) -> list[PointRecord]:
     ctx = cfg.context()
-    return sorted((_record(x, ctx, target, split, decompose) for x in _candidates(cfg)
-                   if cfg.include_support_points or x != 1), key=PointRecord.sort_key)
+    cands = [c for c in _candidates(cfg) if cfg.include_support_points or c[:3] != (1, 1, 1)]  # (1, 1, 1): x = 1
+    cands.sort(key=lambda c: (c[1], c[2], c[0]))  # (u, v, sign) orders exactly like PointRecord.sort_key
+    return [_record(*c, ctx, target, split, decompose) for c in cands]
 
 
 def search_shifted_units_2full(cfg: SearchConfig) -> list[PointRecord]:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from cpairs.arith import (
@@ -18,6 +19,7 @@ from cpairs.arith import (
     factor,
     format_rational,
     is_m_full,
+    is_probable_prime,
     is_s_integer,
     is_s_unit,
     m_full_count_bound,
@@ -69,6 +71,34 @@ def test_factor_value_roundtrip(x):
 def test_factor_handles_large_semiprimes():
     n = 1_000_003 * 1_000_033  # both prime, beyond the trial-division bound
     assert factor(n).factors == ((1_000_003, 1), (1_000_033, 1))
+
+
+@pytest.mark.parametrize("n,factors", [
+    (9973**2, ((9973, 2),)),
+    (9967 * 9973, ((9967, 1), (9973, 1))),
+    (9973 * 10007, ((9973, 1), (10007, 1))),
+    (10007**2, ((10007, 2),)),
+    (10007 * 10009, ((10007, 1), (10009, 1))),
+    (2**40 * 10007, ((2, 40), (10007, 1))),
+    (10**8 + 7, ((10**8 + 7, 1),)),
+    (9973**5, ((9973, 5),)),
+])
+def test_factor_at_the_trial_division_boundary(n, factors):
+    # the trial primes end at 9973; 10007 is the next prime, and a cofactor
+    # below 10007^2 with no trial-prime factor is taken as prime without a test
+    assert factor(n) == PrimeFactorization(1, factors)
+    assert factor(-n) == PrimeFactorization(-1, factors)
+
+
+def test_primality_across_the_table_boundaries():
+    # by the trial-prime table up to 9973, by one gcd below 10007^2, Miller-Rabin above
+    ns = list(range(-2, 20_000)) + [10007**2 + d for d in range(-60, 61)]
+    assert [n for n in ns if is_probable_prime(n)] == [n for n in ns if sympy.isprime(n)]
+
+
+@given(st.integers(min_value=1, max_value=2**64))
+def test_factor_integers_match_sympy(n):
+    assert dict(factor(n).factors) == sympy_valuations(Fraction(n))
 
 
 def test_valuation_fixtures():

@@ -213,6 +213,7 @@ def test_usage_errors_exit_2(capsys):
         (["search", "2full", "--s", "2", "--bound", "2", "--jobs", "2"], None),  # removed flag
         (["mfull", "list", str(10**21)], str(MAX_SCAN)),
         (["semigroup", "elements", "<2,3>", "--bound", str(10**11)], str(MAX_SCAN)),
+        (["search", "2full", "--s", "2,3,5,7", "--bound", "30"], str(MAX_SCAN)),
     ]
     for argv, message in cases:
         try:

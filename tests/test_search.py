@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cpairs.arith import SIntegerContext
-from cpairs.cli import json_line
+from cpairs.cli import json_line, main
 from cpairs.conditions import AtLeast, LOG
 from cpairs.search import (
     PointRecord,
@@ -114,6 +114,22 @@ def test_sweep_output_is_pinned(kind, primes, bound):
     records = fn(SearchConfig(s_primes=primes, exponent_bound=bound))
     text = "".join(json_line(r.to_json_obj()) + "\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SWEEPS[kind, primes, bound]
+
+
+# the same for the csv and table formats, whose cells the CLI builds apart from the JSON
+GOLDEN_SWEEP_FORMATS = {
+    ("2full", "csv"): "5b851f47df08c17c5263522212e758172241f59298ce6959fc2283f10aa81576",
+    ("2full", "table"): "1b68c0286403ab251d5c220ee581d6afab8bba9bbb667e68f1f50f2ff8e6eda2",
+    ("2or3", "csv"): "ed95615faaa80ddacc088eab898d22bd69d7a4f299f79afcccd9bc9f16876493",
+    ("2or3", "table"): "92348fca0b55b9cf2fcc80bbc56ff5f52c8a20aa685f7cdb4ef21cd06e7b9d21",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(GOLDEN_SWEEP_FORMATS))
+def test_sweep_formats_are_pinned(kind, fmt, capsys):
+    assert main(["search", kind, "--s", "2,3", "--bound", "4", "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SWEEP_FORMATS[kind, fmt]
 
 
 def test_search_config_validation():
