@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, formats, config files, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -283,3 +284,115 @@ def test_json_roundtrip_across_commands(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert_json_roundtrip(out)
+
+
+# -- every command, pinned -----------------------------------------------------------
+
+POINT = json.dumps({"D": {"contained": False, "mults": [[3, 2]]}})
+POINT_REJECT = json.dumps({"D": {"contained": False, "mults": [[3, 1]]}})
+POINT_SUPPORT = json.dumps({"D": {"contained": True, "mults": []},
+                            "E": {"contained": False, "mults": [[7, 1]]}})
+CFG = json.dumps({"components": [["F2", 2], ["F7", 7], ["F3", 3]], "edges": [["F2", "F7"]]})
+FIBRE_LIST = [{"divisor": "0", "mults": [2, 3], "exceptional": False, "empty": False},
+              {"divisor": "1", "mults": [], "exceptional": False, "empty": True},
+              {"divisor": "inf", "mults": [], "exceptional": False, "empty": True}]
+FIBRES, FIBRES_ONE = json.dumps(FIBRE_LIST), json.dumps(FIBRE_LIST[:1])
+FIBRES_DIVISIBLE = json.dumps([{"divisor": "0", "mults": [2, 2]}])
+
+# (argv, exit code, first 16 hex digits of the sha256 of stdout in json, csv, table)
+GOLDEN_COMMANDS = [
+    (("factor", "-9/8"), 0, "50e10b360719e690", "2d47b8540ad1d9c9", "6f1488536e42f471"),
+    (("factor", "360"), 0, "39f8ed8e873b7c7d", "c538504ced15b1ef", "034b32a934aa979a"),
+    (("factor", "-1"), 0, "38ebf10934adba52", "1b256faf80354b87", "62d1aa973107e662"),
+    (("factor", "0"), 2, "e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (("mfull", "check", "72", "--m", "2"),
+     0, "77771635b6654561", "6927bb386bd6cf67", "90eecd451997b47d"),
+    (("mfull", "check", "12", "--m", "2", "--strict"),
+     1, "1349d235fc766d78", "9f3ae1eb9bdb4c89", "82b6dd73aaa3f3e4"),
+    (("mfull", "check", "9/8", "--m", "2", "--s", "2"),
+     0, "0c183d2294c8ecd8", "053a9aeaeb9da405", "a0c1bb2b12b5bc08"),
+    (("mfull", "list", "100", "--m", "2"),
+     0, "4048873a1cd5771d", "c34bb7b9ed3be252", "805807940cf62eb3"),
+    (("mfull", "list", "1000", "--m", "3"),
+     0, "1a431f8e78d74a89", "549ed3be6f1ba3db", "7665b049f0fc05da"),
+    (("semigroup", "atoms", "<4.."), 0, "4ec413dcd1be52be", "715a91a10535b48e", "d8b1929516c8e1dd"),
+    (("semigroup", "atoms", "<2>|<3>"),
+     2, "e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (("semigroup", "contains", "<2,7>|<3>", "5", "--strict"),
+     1, "86b0176bc8066d5f", "569772776eed4743", "767704b6d3e1a6bd"),
+    (("semigroup", "contains", "<2,7>", "9"),
+     0, "a50eb9af56a2a625", "301caa5c0d48e2ce", "b4977cb992d4c22c"),
+    (("semigroup", "elements", "<2,7>", "--bound", "12"),
+     0, "ca10261beee79595", "0c3d61a6368c702a", "0ae188320f588e74"),
+    (("semigroup", "elements", "<2>|<3,5>", "--bound", "10"),
+     0, "a9de08a0239fdcba", "954ec8cfb9fddc88", "da74e18d3c71a823"),
+    (("semigroup", "frobenius", "<2,7>"),
+     0, "8dc5bd162c8ba867", "65d775f6c05512b6", "4c5a4a2b1854f935"),
+    (("cpair", "check", "--pair", "D: >=2", "--point", POINT),
+     0, "bfa0a5b5714b0ebf", "cc98002846d0b4b9", "7df8f611832b71cb"),
+    (("cpair", "check", "--pair", "D: >=2", "--strict", "--point", POINT_REJECT),
+     1, "c640937d013f2bbc", "9bb62640e47bdb48", "21666e306db7f2e2"),
+    (("cpair", "check", "--pair", "D: union <2>|<3>; E: inf", "--point", POINT_SUPPORT),
+     0, "205734fe080c481b", "33e33e4494a78cc4", "490de0c8f503a871"),
+    (("cpair", "check", "--pair", "D: div 2", "--point", POINT),
+     0, "5d096f283a0dbc4c", "dbcd7fcaa28bafc1", "5d45c3be34f89f52"),
+    (("cpair", "divisor", "--pair", "0: >=2; 1: inf; 2: >=1"),
+     0, "8e6cc15259fcd16d", "af9f5c49b3211fd3", "062bb2532a8b26d6"),
+    (("config", "check", "--union", "<2,7>|<3>", "--configuration", CFG),
+     0, "b2d8089ac306426a", "48f75e29cb2f30a8", "ca6e389ec2db33df"),
+    (("config", "check", "--union", "<2>|<3,4,7>", "--configuration", CFG, "--strict"),
+     1, "1a9cb0d218246a74", "0b37f0b9017dc235", "9dc2e732f44a7b23"),
+    (("fibre", "classify", "--mults", "2,3"),
+     0, "5e74fb0eefd6bb29", "330304749ca1ea61", "bd49bc58d738e852"),
+    (("fibre", "classify", "--empty"),
+     0, "de0af7da2946d4ad", "4293b9573990b61d", "dc2f424c5dab3a04"),
+    (("fibre", "classify", "--mults", "4,6", "--exceptional"),
+     0, "dcb4232f35ca0df6", "cef7749ec65dab8a", "6229578cb88d5b60"),
+    (("fibre", "orbifold-base", "--fibres", FIBRES),
+     0, "32ff93f70ede97ef", "17907f5c3e52a32b", "693e5cb88bb7360f"),
+    (("fibre", "checklist", "--fibres", FIBRES_ONE, "--base-ws", "--dense-ws"),
+     0, "c24ebf141389c606", "c9fb53be098e254c", "9d183b271c673200"),
+    (("fibre", "checklist", "--fibres", FIBRES_DIVISIBLE, "--base-ws", "--dense-ws", "--strict"),
+     1, "1d4ac5c61c253956", "110d39562d32ca16", "24927db30e04a909"),
+    (("fibre", "checklist", "--fibres", FIBRES, "--no-base-ws", "--dense-ws"),
+     0, "fc1200a5e83a2678", "be1cccb4078744ba", "f99a90a4b0541571"),
+    (("xa", "classify", "2", "3"), 0, "446112f1f4337b52", "b697f8accf9d4416", "6cc7c5e44191f323"),
+    (("xa", "classify", "6", "10", "15"),
+     0, "d5a4cd5225a80d9d", "a75b353cbec41e42", "bb01187ca3e6dc53"),
+    (("kodaira", "reduce", "III*"), 0, "3d19245a53d71e9e", "bec3a13229fa2537", "e00a30d90e711d90"),
+    (("kodaira", "reduce", "IV*"), 0, "167fb523b5235f27", "2998e1472e808c4b", "2213baa7ca67606d"),
+    (("weights", "2", "3"), 0, "4a93150ab78faca8", "4752faaff75b039e", "e9802877635d06c0"),
+    (("weights", "2", "3", "--blocks", "1,1"),
+     0, "50232a7e9f080b98", "663f132f37af1528", "1a8ac652f6f65b54"),
+    (("weights", "2", "7", "3", "--blocks", "2,1"),
+     0, "88f17caf937463a2", "11f29364a877c962", "12a0f0ea8842200d"),
+    (("space", "report", "--condition", ">=2"),
+     0, "68f38f359bd08109", "82540d523479b21f", "cc4ec362d570bad4"),
+    (("space", "report", "--condition", "union <2,7>|<3>"),
+     0, "5ecd705b20c0cab7", "f64b1d4458d0c9c4", "bad52d5372d5f323"),
+    (("search", "2full", "--s", "2,3", "--bound", "6"),
+     0, "7a04118668776e80", "5d19cc67a9eaf319", "afbed69ada73d8a7"),
+    (("search", "2or3", "--s", "7,41", "--bound", "1"),
+     0, "aeaa7b3f8609955b", "ae3f4fcba6f07c23", "4285708ae1652244"),
+    (("search", "2full", "--s", "2", "--bound", "3", "--no-support", "--no-negative"),
+     0, "6bdf94f7f49eab6c", "6ce3c054fdbcfe84", "11d0d24d84f30a6f"),
+    (("p1", "enumerate", "--pair", "0: >=2; 1: >=2; inf: >=2", "--height", "30", "--s", ""),
+     0, "7b41f599aa23277f", "fcb8ea277f9af2ac", "770e82e62ac1d37e"),
+    (("p1", "enumerate", "--pair", "0: >=2; 1: union <2,7>|<3>; inf: div 2; -1: inf",
+      "--height", "20", "--s", "2,3"),
+     0, "86fbb98aea0aacb6", "6963c5540651b09d", "f88ddea0b046dc2c"),
+    (("point", "verify", "--a", "3", "--b", "1", "--s", "2"),
+     0, "8a3c82fa53f3f81a", "52b69822eed177ad", "3b757a7fa323dda6"),
+    (("point", "verify", "--a", "2", "--b", "3", "--strict"),
+     1, "03d594040b5d37cb", "143542c0845cfba9", "7be7ff10114dbca9"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("case", GOLDEN_COMMANDS, ids=lambda case: " ".join(case[0][:2]))
+def test_every_command_is_pinned(capsys, case, fmt):
+    argv, code, *digests = case
+    got = main([*argv, "--format", fmt])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == \
+        (code, digests[["json", "csv", "table"].index(fmt)])
