@@ -6,6 +6,13 @@ errors.  Output formats: json (canonical, one object per line, byte-stable
 under parse/re-emit), csv (same columns, flat cells), table (human-readable,
 not meant to round-trip).
 
+Every command computes its JSON objects; the csv/table cells are derived from
+them by `flat`, with a small per-command override where a cell is written
+differently.  The command set is the `COMMANDS` table, which also names the
+JSON field whose false value makes --strict exit 1.  The common flags
+(--format, --strict, --config, --s) follow the subcommand:
+`cpairs semigroup atoms "<4.." --format csv`.
+
 A plain-text config file ("key = value" lines, # comments) can preset the
 common flags; explicit flags win.  Unknown, duplicate, or malformed entries
 are reported with line and column and exit 2.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -32,11 +40,48 @@ class CliError(Exception):
 
 # -- config files -------------------------------------------------------------
 
-CONFIG_KEYS = ("s", "bound", "height", "format", "strict", "m")
+
+def _conv_int(raw: str, where: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"{where}: expected an integer, got {raw!r}") from None
+
+
+def _conv_ints(raw: str, where: str) -> tuple[int, ...]:
+    raw = raw.strip()
+    if not raw:
+        return ()
+    try:
+        return tuple(int(t) for t in raw.split(","))
+    except ValueError:
+        raise CliError(f"{where}: expected comma-separated integers, got {raw!r}") from None
+
+
+def _conv_bool(raw: str, where: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise CliError(f"{where}: expected a boolean, got {raw!r}")
+
+
+def _conv_format(raw: str, where: str) -> str:
+    if raw in ("json", "csv", "table"):
+        return raw
+    raise CliError(f"{where}: format must be json, csv, or table, got {raw!r}")
+
+
+# config key -> converter of its raw text; a flag given as text goes through it too
+CONFIG_KEYS = {"s": _conv_ints, "bound": _conv_int, "height": _conv_int, "format": _conv_format,
+               "strict": _conv_bool, "m": _conv_int}
 
 # The most integers one command may scan or list; a larger request exits 2
 # before anything is allocated.
 MAX_SCAN = 10**7
+
+REQUIRED = object()
 
 
 def load_config(path: str) -> dict[str, tuple[str, int, int]]:
@@ -68,90 +113,26 @@ def load_config(path: str) -> dict[str, tuple[str, int, int]]:
     return out
 
 
-def _conv_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{where}: expected an integer, got {raw!r}") from None
-
-
-def _conv_bool(raw: str, where: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise CliError(f"{where}: expected a boolean, got {raw!r}")
-
-
-def _conv_primes(raw: str, where: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(int(t) for t in raw.split(","))
-    except ValueError:
-        raise CliError(f"{where}: expected comma-separated primes, got {raw!r}") from None
-
-
-def _conv_format(raw: str, where: str) -> str:
-    if raw in ("json", "csv", "table"):
-        return raw
-    raise CliError(f"{where}: format must be json, csv, or table, got {raw!r}")
-
-
 class Options:
     """Flag values resolved against the config file (flags win)."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        self.cfg = load_config(args.config) if args.config else {}
 
-    def _pick(self, key: str, cli_value, conv, default):
-        if cli_value is not None:
-            return cli_value
+    def get(self, key: str, default=REQUIRED):
+        conv = CONFIG_KEYS[key]
+        value = getattr(self.args, key, None)
+        if isinstance(value, str):
+            return conv(value, f"--{key}")
+        if value is not None:
+            return value
         if key in self.cfg:
             raw, line, col = self.cfg[key]
             return conv(raw, f"{self.args.config}:{line}:{col}")
+        if default is REQUIRED:
+            raise CliError(f"--{key} is required (flag or config)")
         return default
-
-    @property
-    def fmt(self) -> str:
-        v = getattr(self.args, "format", None)
-        return self._pick("format", v, _conv_format, "json")
-
-    @property
-    def strict(self) -> bool:
-        v = getattr(self.args, "strict", None)
-        return self._pick("strict", v, _conv_bool, False)
-
-    @property
-    def s_primes(self) -> tuple[int, ...]:
-        v = getattr(self.args, "s", None)
-        if v is not None:
-            return _conv_primes(v, "--s")
-        return self._pick("s", None, _conv_primes, ())
-
-    def bound(self, default=None) -> int:
-        v = getattr(self.args, "bound", None)
-        n = self._pick("bound", v, _conv_int, default)
-        if n is None:
-            raise CliError("--bound is required (flag or config)")
-        return n
-
-    def height(self) -> int:
-        v = getattr(self.args, "height", None)
-        n = self._pick("height", v, _conv_int, None)
-        if n is None:
-            raise CliError("--height is required (flag or config)")
-        return n
-
-    def m(self, default=None) -> int:
-        v = getattr(self.args, "m", None)
-        n = self._pick("m", v, _conv_int, default)
-        if n is None:
-            raise CliError("--m is required (flag or config)")
-        return n
 
 
 # -- output -------------------------------------------------------------------
@@ -161,39 +142,58 @@ def json_line(obj) -> str:
     return json.dumps(obj)  # separators ", " and ": ", the defaults, so the shared encoder serves
 
 
-def emit(rows: Iterable[dict], columns: list[str], fmt: str, out=None) -> None:
-    """rows: flat csv/table cells by column; JSON objects ride in row["__json__"].
+_JOINERS = {"s": ",", "flags": "+"}
 
-    json and csv read the rows once, so they may be a generator; table needs a list.
+
+def flat(obj: dict) -> dict:
+    """csv/table cells of a JSON object.
+
+    A list is joined by a space (`s` by ",", `flags` by "+"), None becomes "",
+    and nested objects stay in the JSON only.
     """
-    out = out or sys.stdout
+    cells = {}
+    for key, value in obj.items():
+        if isinstance(value, list):
+            cells[key] = _JOINERS.get(key, " ").join(map(str, value))
+        elif not isinstance(value, dict):
+            cells[key] = "" if value is None else value
+    return cells
+
+
+def emit(objs: Iterable[dict], columns: list[str], fmt: str, rows: Iterable[dict] | None = None) -> None:
+    """Write JSON objects one per line, or csv/table rows of `flat(obj)` cells.
+
+    `rows`, when given, replaces the flattened cells.  json and csv read their
+    input once, so it may be a generator; table reads all rows to size its columns.
+    """
+    out = sys.stdout
     if fmt == "json":
-        for row in rows:
-            out.write(json_line(row["__json__"]) + "\n")
+        for obj in objs:
+            out.write(json_line(obj) + "\n")
         return
+    rows = map(flat, objs) if rows is None else rows
     if fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(columns)
-        for row in rows:
-            w.writerow([row.get(c, "") for c in columns])
+        w.writerows([row.get(c, "") for c in columns] for row in rows)
         return
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns}
-    out.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
-    for row in rows:
-        out.write("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns).rstrip() + "\n")
+    cells = [[str(row.get(c, "")) for c in columns] for row in rows]
+    widths = [max([len(c), *(len(r[i]) for r in cells)]) for i, c in enumerate(columns)]
+    for line in (columns, *cells):
+        out.write("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() + "\n")
 
 
-def _compact_factorization(fz: "arith.PrimeFactorization | None") -> str:
-    if fz is None:
+def _compact_factorization(obj: "dict | None") -> str:
+    """A factorization's JSON object as one cell: "-2^-3*3^2"; "0" for None."""
+    if obj is None:
         return "0"
-    body = "*".join(f"{p}^{e}" if e != 1 else str(p) for p, e in fz.factors)
-    if not body:
-        return "-1" if fz.sign < 0 else "1"
-    return ("-" if fz.sign < 0 else "") + body
+    sign = "-" if obj["sign"] < 0 else ""
+    body = "*".join(f"{p}^{e}" if e != 1 else str(p) for p, e in obj["factors"])
+    return sign + (body or "1")
 
 
-def _load_json_arg(value: str, what: str):
-    """Inline JSON if the value looks like JSON, else read the file at that path."""
+def _load_json_arg(value: str, what: str, parse):
+    """parse(JSON), the JSON inline if the value looks like JSON, else read from that path."""
     text = value
     if not value.lstrip().startswith(("{", "[")):
         try:
@@ -201,42 +201,13 @@ def _load_json_arg(value: str, what: str):
         except OSError as e:
             raise CliError(f"cannot read {what} file {value}: {e}") from None
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"malformed {what} JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-
-
-# -- command implementations ---------------------------------------------------
-
-
-def cmd_factor(args, opt: Options) -> int:
-    x = parse_rational(args.value)
-    if x == 0:
-        raise CliError("0 has no prime factorization")
-    fz = arith.factor(x)
-    obj = fz.to_json_obj()
-    rows = [{"__json__": obj, "value": args.value, "sign": fz.sign,
-             "factors": _compact_factorization(fz)}]
-    emit(rows, ["value", "sign", "factors"], opt.fmt)
-    return 0
-
-
-def cmd_mfull_check(args, opt: Options) -> int:
-    ctx = SIntegerContext(opt.s_primes)
-    x = parse_rational(args.value)
-    m = opt.m(default=2)
     try:
-        witness = arith.m_full_witness(x, m, ctx)
-    except arith.NotAnSIntegerError as e:
-        raise CliError(str(e)) from None
-    full = witness is None
-    obj = {"x": format_rational(x), "m": m, "s": list(ctx.sorted_primes()), "full": full}
-    if witness is not None:
-        obj["witness"] = witness
-    rows = [{"__json__": obj, "x": obj["x"], "m": m, "s": ",".join(map(str, ctx.sorted_primes())),
-             "full": full, "witness": "" if witness is None else witness}]
-    emit(rows, ["x", "m", "s", "full", "witness"], opt.fmt)
-    return 1 if opt.strict and not full else 0
+        return parse(data)
+    except (ValueError, KeyError, TypeError) as e:
+        raise CliError(f"bad {what}: {e}") from None
 
 
 def _check_scan(count: int, what: str) -> None:
@@ -244,62 +215,79 @@ def _check_scan(count: int, what: str) -> None:
         raise CliError(f"{what} may scan or list up to {count} integers, over the limit of {MAX_SCAN}")
 
 
-def cmd_mfull_list(args, opt: Options) -> int:
-    m = opt.m(default=2)
-    if m >= 1 and args.bound_pos >= 1:
-        _check_scan(arith.m_full_count_bound(args.bound_pos, m), "mfull list")
-    values = arith.enumerate_m_full(args.bound_pos, m)
-    obj = {"bound": args.bound_pos, "m": m, "count": len(values), "values": values}
-    rows = [{"__json__": obj, "bound": args.bound_pos, "m": m, "count": len(values),
-             "values": " ".join(map(str, values))}]
-    emit(rows, ["bound", "m", "count", "values"], opt.fmt)
-    return 0
+# -- command implementations ---------------------------------------------------
+# Each returns (JSON objects, csv/table columns, rows overriding flat(obj) or None).
 
 
-def _parse_set_text(text: str):
-    return parse_union(text) if "|" in text else parse_semigroup(text)
+def cmd_factor(args, opt: Options):
+    """Factor a nonzero rational."""
+    obj = arith.factor(parse_rational(args.value)).to_json_obj()
+    rows = [{"value": args.value, "sign": obj["sign"], "factors": _compact_factorization(obj)}]
+    return [obj], ["value", "sign", "factors"], rows
 
 
-def cmd_semigroup(args, opt: Options) -> int:
-    action = args.action
-    sg = _parse_set_text(args.spec)
-    from .semigroups import SemigroupUnion
+def cmd_mfull_check(args, opt: Options):
+    """Is an S-integer m-full away from S?"""
+    ctx = SIntegerContext(opt.get("s", ()))
+    x = parse_rational(args.value)
+    m = opt.get("m", 2)
+    witness = arith.m_full_witness(x, m, ctx)
+    obj = {"x": format_rational(x), "m": m, "s": list(ctx.sorted_primes()), "full": witness is None}
+    if witness is not None:
+        obj["witness"] = witness
+    return [obj], ["x", "m", "s", "full", "witness"], None
 
-    if action == "atoms":
-        if isinstance(sg, SemigroupUnion):
-            raise CliError("atoms applies to a single semigroup, not a union")
-        atoms = list(sg.atoms())
-        obj = {"semigroup": format_semigroup(sg), "atoms": atoms}
-        rows = [{"__json__": obj, "semigroup": obj["semigroup"], "atoms": " ".join(map(str, atoms))}]
-        emit(rows, ["semigroup", "atoms"], opt.fmt)
-        return 0
-    if action == "frobenius":
-        if isinstance(sg, SemigroupUnion):
-            raise CliError("frobenius applies to a single semigroup, not a union")
-        if not sg.is_cofinite:
-            raise CliError(f"{format_semigroup(sg)} is not cofinite (gcd of generators != 1)")
-        obj = {"semigroup": format_semigroup(sg), "frobenius": sg.frobenius()}
-        rows = [{"__json__": obj, **obj}]
-        emit(rows, ["semigroup", "frobenius"], opt.fmt)
-        return 0
-    text = format_union(sg) if isinstance(sg, SemigroupUnion) else format_semigroup(sg)
-    if action == "contains":
-        n = args.n
-        ok = sg.contains(n)
-        obj = {"semigroup": text, "n": n, "contains": ok}
-        rows = [{"__json__": obj, **obj}]
-        emit(rows, ["semigroup", "n", "contains"], opt.fmt)
-        return 1 if opt.strict and not ok else 0
-    if action == "elements":
-        bound = opt.bound()
-        _check_scan(bound, "semigroup elements")
-        els = sg.elements_up_to(bound)
-        obj = {"semigroup": text, "bound": bound, "count": len(els), "elements": els}
-        rows = [{"__json__": obj, "semigroup": text, "bound": bound, "count": len(els),
-                 "elements": " ".join(map(str, els))}]
-        emit(rows, ["semigroup", "bound", "count", "elements"], opt.fmt)
-        return 0
-    raise CliError(f"unknown semigroup action {action!r}")
+
+def cmd_mfull_list(args, opt: Options):
+    """List the m-full numbers up to a bound."""
+    m, bound = opt.get("m", 2), args.bound_pos
+    if m >= 1 and bound >= 1:
+        _check_scan(arith.m_full_count_bound(bound, m), "mfull list")
+    values = arith.enumerate_m_full(bound, m)
+    return [{"bound": bound, "m": m, "count": len(values), "values": values}], \
+        ["bound", "m", "count", "values"], None
+
+
+def _semigroup(text: str, single: "str | None" = None):
+    """(semigroup or union, its canonical text); an action named by `single` refuses a union."""
+    if "|" not in text:
+        sg = parse_semigroup(text)
+        return sg, format_semigroup(sg)
+    union = parse_union(text)
+    if single:
+        raise CliError(f"{single} applies to a single semigroup, not a union")
+    return union, format_union(union)
+
+
+def cmd_semigroup_atoms(args, opt: Options):
+    """Minimal generators of a semigroup."""
+    sg, text = _semigroup(args.spec, "atoms")
+    return [{"semigroup": text, "atoms": list(sg.atoms())}], ["semigroup", "atoms"], None
+
+
+def cmd_semigroup_contains(args, opt: Options):
+    """Membership of n in a semigroup or union."""
+    sg, text = _semigroup(args.spec)
+    return [{"semigroup": text, "n": args.n, "contains": sg.contains(args.n)}], \
+        ["semigroup", "n", "contains"], None
+
+
+def cmd_semigroup_elements(args, opt: Options):
+    """Elements up to --bound."""
+    sg, text = _semigroup(args.spec)
+    bound = opt.get("bound")
+    _check_scan(bound, "semigroup elements")
+    els = sg.elements_up_to(bound)
+    return [{"semigroup": text, "bound": bound, "count": len(els), "elements": els}], \
+        ["semigroup", "bound", "count", "elements"], None
+
+
+def cmd_semigroup_frobenius(args, opt: Options):
+    """Frobenius number of a cofinite semigroup."""
+    sg, text = _semigroup(args.spec, "frobenius")
+    if not sg.is_cofinite:
+        raise CliError(f"{text} is not cofinite (gcd of generators != 1)")
+    return [{"semigroup": text, "frobenius": sg.frobenius()}], ["semigroup", "frobenius"], None
 
 
 def _select_checker(spec: conditions.CPairSpec):
@@ -311,15 +299,12 @@ def _select_checker(spec: conditions.CPairSpec):
     return "dedekind", conditions.check_generalized_point_dedekind
 
 
-def cmd_cpair_check(args, opt: Options) -> int:
+def cmd_cpair_check(args, opt: Options):
+    """Check a valuation vector against a pair."""
     spec = conditions.parse_pair_spec(args.pair)
-    vec_obj = _load_json_arg(args.point, "point")
-    try:
-        vec = conditions.vector_from_json_obj(vec_obj)
-        name, checker = _select_checker(spec)
-        verdict = checker(spec, vec)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    vec = _load_json_arg(args.point, "point", conditions.vector_from_json_obj)
+    name, checker = _select_checker(spec)
+    verdict = checker(spec, vec)
     obj = {
         "pair": conditions.format_pair_spec(spec),
         "checker": name,
@@ -331,31 +316,24 @@ def cmd_cpair_check(args, opt: Options) -> int:
             for d in verdict.divisors
         ],
     }
-    rows = [{"__json__": obj, "pair": obj["pair"], "checker": name, "accepted": verdict.accepted,
-             "flags": "+".join(verdict.flags),
-             "witness": "" if verdict.witness() is None else verdict.witness()}]
-    emit(rows, ["pair", "checker", "accepted", "flags", "witness"], opt.fmt)
-    return 1 if opt.strict and not verdict.accepted else 0
+    witness = min((d["witness"] for d in obj["divisors"] if d["witness"] is not None), default="")
+    return [obj], ["pair", "checker", "accepted", "flags", "witness"], [{**flat(obj), "witness": witness}]
 
 
-def cmd_cpair_divisor(args, opt: Options) -> int:
+def cmd_cpair_divisor(args, opt: Options):
+    """Coefficients 1 - 1/m of the pair's orbifold divisor."""
     spec = conditions.parse_pair_spec(args.pair)
-    coeffs = conditions.cpair_divisor(spec)
     obj = {"pair": conditions.format_pair_spec(spec),
-           "coefficients": [[lbl, format_rational(c)] for lbl, c in coeffs]}
-    rows = [{"__json__": obj, "pair": obj["pair"],
-             "coefficients": " ".join(f"{lbl}={format_rational(c)}" for lbl, c in coeffs)}]
-    emit(rows, ["pair", "coefficients"], opt.fmt)
-    return 0
+           "coefficients": [[lbl, format_rational(c)] for lbl, c in conditions.cpair_divisor(spec)]}
+    cells = " ".join(f"{lbl}={c}" for lbl, c in obj["coefficients"])
+    return [obj], ["pair", "coefficients"], [{**flat(obj), "coefficients": cells}]
 
 
-def cmd_config_check(args, opt: Options) -> int:
+def cmd_config_check(args, opt: Options):
+    """Check a divisor configuration against a union."""
     union = parse_union(args.union)
-    cfg_obj = _load_json_arg(args.configuration, "configuration")
-    try:
-        cfg = conditions.DivisorConfiguration.from_json_obj(cfg_obj)
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"bad configuration: {e}") from None
+    cfg = _load_json_arg(args.configuration, "configuration",
+                         conditions.DivisorConfiguration.from_json_obj)
     verdict = conditions.check_generalized_configuration(union, cfg)
     obj = {
         "union": format_union(union),
@@ -365,22 +343,10 @@ def cmd_config_check(args, opt: Options) -> int:
         "failing_component": None if verdict.failing_component is None
         else list(verdict.failing_component),
     }
-    rows = [{"__json__": obj, "union": obj["union"], "accepted": verdict.accepted,
-             "assignment": "" if verdict.assignment is None
-             else " ".join(f"{'+'.join(comp)}->{blk}" for comp, blk in verdict.assignment),
-             "failing": "" if verdict.failing_component is None else "+".join(verdict.failing_component)}]
-    emit(rows, ["union", "accepted", "assignment", "failing"], opt.fmt)
-    return 1 if opt.strict and not verdict.accepted else 0
-
-
-def _mults_arg(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(t) for t in text.split(",")]
-    except ValueError:
-        raise CliError(f"--mults expects comma-separated integers, got {text!r}") from None
+    row = {**flat(obj),
+           "assignment": " ".join(f"{'+'.join(comp)}->{blk}" for comp, blk in obj["assignment"] or ()),
+           "failing": "+".join(obj["failing_component"] or ())}
+    return [obj], ["union", "accepted", "assignment", "failing"], [row]
 
 
 def _classification_fields(cls: geometry.FibreClassification) -> dict:
@@ -393,47 +359,38 @@ def _classification_fields(cls: geometry.FibreClassification) -> dict:
     }
 
 
-def cmd_fibre_classify(args, opt: Options) -> int:
+_CLASSIFICATION_COLUMNS = ["inf_mult", "gcd_mult", "coefficient", "inf_multiple", "divisible"]
+
+
+def cmd_fibre_classify(args, opt: Options):
+    """inf-/gcd-multiplicity of one fibre."""
     fibre = geometry.FibreDecomposition(
-        multiplicities=_mults_arg(args.mults),
+        multiplicities=_conv_ints(args.mults, "--mults"),
         has_exceptional_part=args.exceptional,
         empty=args.empty,
     )
-    cls = geometry.classify_fibre(fibre)
     obj = {"mults": list(fibre.multiplicities), "exceptional": fibre.has_exceptional_part,
-           "empty": fibre.empty, **_classification_fields(cls)}
-    rows = [{"__json__": obj, **obj, "mults": " ".join(map(str, fibre.multiplicities))}]
-    emit(rows, ["mults", "exceptional", "empty", "inf_mult", "gcd_mult",
-                "coefficient", "inf_multiple", "divisible"], opt.fmt)
-    return 0
+           "empty": fibre.empty, **_classification_fields(geometry.classify_fibre(fibre))}
+    return [obj], ["mults", "exceptional", "empty", *_CLASSIFICATION_COLUMNS], None
 
 
-def _fibres_arg(value: str) -> list[tuple[str, geometry.FibreDecomposition]]:
-    data = _load_json_arg(value, "fibres")
+def _fibres(data) -> list[tuple[str, geometry.FibreDecomposition]]:
     if not isinstance(data, list):
-        raise CliError("fibres JSON must be a list of fibre objects")
-    try:
-        return [geometry.fibre_from_json_obj(o) for o in data]
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"bad fibre object: {e}") from None
+        raise ValueError("expected a list of fibre objects")
+    return [geometry.fibre_from_json_obj(o) for o in data]
 
 
-def cmd_fibre_orbifold_base(args, opt: Options) -> int:
-    fibres = _fibres_arg(args.fibres)
-    report = geometry.orbifold_base(fibres)
-    entries = [{"divisor": e.label, **_classification_fields(e.classification)}
-               for e in report.entries]
-    obj = {"divisors": entries}
-    rows = [{"__json__": obj}] if opt.fmt == "json" else [
-        {"__json__": obj, **e} for e in entries
-    ]
-    emit(rows, ["divisor", "inf_mult", "gcd_mult", "coefficient", "inf_multiple", "divisible"],
-         opt.fmt)
-    return 0
+def cmd_fibre_orbifold_base(args, opt: Options):
+    """The orbifold base of a list of fibres, one row per divisor."""
+    report = geometry.orbifold_base(_load_json_arg(args.fibres, "fibres", _fibres))
+    obj = {"divisors": [{"divisor": e.label, **_classification_fields(e.classification)}
+                        for e in report.entries]}
+    return [obj], ["divisor", *_CLASSIFICATION_COLUMNS], obj["divisors"]
 
 
-def cmd_fibre_checklist(args, opt: Options) -> int:
-    fibres = _fibres_arg(args.fibres)
+def cmd_fibre_checklist(args, opt: Options):
+    """The weak-specialness checklist."""
+    fibres = _load_json_arg(args.fibres, "fibres", _fibres)
     rep = geometry.weakly_special_checklist(args.base_ws, args.dense_ws, fibres)
     obj = {
         "base_weakly_special": rep.base_weakly_special,
@@ -442,28 +399,19 @@ def cmd_fibre_checklist(args, opt: Options) -> int:
         "divisible_witness": rep.divisible_witness,
         "certified": rep.certified,
     }
-    rows = [{"__json__": obj, **{k: ("" if v is None else v) for k, v in obj.items()}}]
-    emit(rows, list(obj.keys()), opt.fmt)
-    return 1 if opt.strict and not rep.certified else 0
+    return [obj], list(obj), None
 
 
-def cmd_xa_classify(args, opt: Options) -> int:
-    try:
-        cls = geometry.classify_xa_family(args.exponents)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    obj = {"a": list(cls.a), "weakly_special": cls.weakly_special, "special": cls.special}
-    rows = [{"__json__": obj, "a": " ".join(map(str, cls.a)),
-             "weakly_special": cls.weakly_special, "special": cls.special}]
-    emit(rows, ["a", "weakly_special", "special"], opt.fmt)
-    return 0
+def cmd_xa_classify(args, opt: Options):
+    """Weak specialness of the x^a family."""
+    cls = geometry.classify_xa_family(args.exponents)
+    return [{"a": list(cls.a), "weakly_special": cls.weakly_special, "special": cls.special}], \
+        ["a", "weakly_special", "special"], None
 
 
-def cmd_kodaira_reduce(args, opt: Options) -> int:
-    try:
-        rem = geometry.kodaira_reduced_removal(args.type)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+def cmd_kodaira_reduce(args, opt: Options):
+    """Reduced removal of a starred Kodaira fibre."""
+    rem = geometry.kodaira_reduced_removal(args.type)
     obj = {
         "type": rem.type.value,
         "multiplicities": list(geometry.KODAIRA_MULTIPLICITIES[rem.type]),
@@ -471,12 +419,8 @@ def cmd_kodaira_reduce(args, opt: Options) -> int:
         "reduced_mults": list(rem.fibre.multiplicities),
         **_classification_fields(rem.classification),
     }
-    rows = [{"__json__": obj, **obj,
-             "multiplicities": " ".join(map(str, obj["multiplicities"])),
-             "reduced_mults": " ".join(map(str, obj["reduced_mults"]))}]
-    emit(rows, ["type", "multiplicities", "removed_components", "reduced_mults",
-                "inf_mult", "gcd_mult", "coefficient", "inf_multiple", "divisible"], opt.fmt)
-    return 0
+    return [obj], ["type", "multiplicities", "removed_components", "reduced_mults",
+                   *_CLASSIFICATION_COLUMNS], None
 
 
 def _weights_obj(w: geometry.CampanaWeightData) -> dict:
@@ -491,33 +435,19 @@ def _weights_obj(w: geometry.CampanaWeightData) -> dict:
     }
 
 
-def cmd_weights(args, opt: Options) -> int:
-    blocks = None
-    if args.blocks:
-        try:
-            blocks = tuple(int(t) for t in args.blocks.split(","))
-        except ValueError:
-            raise CliError(f"--blocks expects comma-separated sizes, got {args.blocks!r}") from None
-    try:
-        w = geometry.campana_weights(args.exponents, blocks)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    obj = _weights_obj(w)
-    rows = [{"__json__": obj, "a": " ".join(map(str, w.a)),
-             "kernel_basis": "; ".join(" ".join(map(str, r)) for r in w.kernel_basis),
-             "splitting": "" if w.splitting is None else " ".join(map(str, w.splitting)),
-             "strata": " ".join(f"({i},{j})" for i, j in w.strata),
-             "inf": w.inf_mult, "gcd": w.gcd_mult}]
-    emit(rows, ["a", "kernel_basis", "splitting", "strata", "inf", "gcd"], opt.fmt)
-    return 0
+def cmd_weights(args, opt: Options):
+    """Weight vector and kernel lattice."""
+    blocks = _conv_ints(args.blocks, "--blocks") or None
+    obj = _weights_obj(geometry.campana_weights(args.exponents, blocks))
+    row = {**flat(obj), "kernel_basis": "; ".join(" ".join(map(str, r)) for r in obj["kernel_basis"]),
+           "strata": " ".join(f"({i},{j})" for i, j in obj["strata"])}
+    return [obj], ["a", "kernel_basis", "splitting", "strata", "inf", "gcd"], [row]
 
 
-def cmd_space_report(args, opt: Options) -> int:
-    try:
-        cond = conditions.parse_condition(args.condition)
-        rep = geometry.campana_space_report(cond)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+def cmd_space_report(args, opt: Options):
+    """The model space of a condition."""
+    cond = conditions.parse_condition(args.condition)
+    rep = geometry.campana_space_report(cond)
     obj = {
         "condition": conditions.format_condition(cond),
         "atoms": [list(b) for b in rep.atoms_per_block],
@@ -527,32 +457,20 @@ def cmd_space_report(args, opt: Options) -> int:
         "fibre_mults": list(rep.fibre.multiplicities),
         **_classification_fields(rep.classification),
     }
-    rows = [{"__json__": obj, "condition": obj["condition"],
-             "a": " ".join(map(str, rep.a)), "torus_rank": rep.torus_rank,
-             "coefficient": obj["coefficient"], "inf_multiple": obj["inf_multiple"],
-             "divisible": obj["divisible"]}]
-    emit(rows, ["condition", "a", "torus_rank", "coefficient", "inf_multiple", "divisible"],
-         opt.fmt)
-    return 0
+    return [obj], ["condition", "a", "torus_rank", "coefficient", "inf_multiple", "divisible"], None
 
 
-def _search_cells(r) -> dict:
-    return {
-        "x": format_rational(r.x),
-        "shift": _compact_factorization(r.shifted),
-        "verdict": r.verdict,
-        "witness": "" if r.witness_prime is None else r.witness_prime,
-        "lift_a": "" if r.lift is None else format_rational(r.lift[0]),
-        "lift_b": "" if r.lift is None else format_rational(r.lift[1]),
-        "target": r.target,
-        "flags": "+".join(r.flags),
-    }
+def _search_cells(obj: dict) -> dict:
+    lift_a, lift_b = obj.get("lift", ("", ""))
+    return {**flat(obj), "shift": _compact_factorization(obj["shift"]),
+            "lift_a": lift_a, "lift_b": lift_b}
 
 
-def cmd_search(args, opt: Options) -> int:
+def cmd_search(args, opt: Options):
+    """Shifted S-unit sweeps."""
     cfg = search_mod.SearchConfig(
-        s_primes=opt.s_primes,
-        exponent_bound=opt.bound(),
+        s_primes=opt.get("s", ()),
+        exponent_bound=opt.get("bound"),
         include_negative_units=not args.no_negative,
         include_support_points=not args.no_support,
     )
@@ -560,70 +478,95 @@ def cmd_search(args, opt: Options) -> int:
     _check_scan(signs * (2 * cfg.exponent_bound + 1) ** len(cfg.s_primes), "search")
     fn = {"2full": search_mod.search_shifted_units_2full,
           "2or3": search_mod.search_shifted_units_2or3}[args.kind]
-    records = fn(cfg)
-    if opt.fmt == "json":  # streamed: one JSON object alive at a time, no csv cells
-        rows = ({"__json__": r.to_json_obj()} for r in records)
-    else:
-        rows = [_search_cells(r) for r in records]
-    emit(rows, ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], opt.fmt)
-    return 0
+    objs = (r.to_json_obj() for r in fn(cfg))  # streamed: one JSON object alive at a time
+    return objs, ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], \
+        map(_search_cells, objs)
 
 
-def _parse_p1_pair(text: str) -> list[tuple[tuple[int, int], object]]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        label, colon, cond_text = chunk.partition(":")
-        if not colon:
-            raise CliError(f"pair entry needs 'point: condition', got {chunk!r}")
-        try:
-            pt = search_mod.parse_projective_point(label)
-            cond = conditions.parse_condition(cond_text)
-        except ValueError as e:
-            raise CliError(str(e)) from None
-        out.append((pt, cond))
-    if not out:
-        raise CliError("pair specification is empty")
-    return out
+def cmd_p1_enumerate(args, opt: Options):
+    """Accepted points of bounded height on the line."""
+    spec = conditions.parse_pair_spec(args.pair)
+    divisors = [(search_mod.parse_projective_point(lbl), cond) for lbl, cond in spec.divisors]
+    records = search_mod.enumerate_campana_points_p1(
+        divisors, opt.get("s", ()), opt.get("height"),
+        include_support_points=not args.no_support,
+    )
+    return [r.to_json_obj() for r in records], ["point", "height", "verdict", "flags"], None
 
 
-def cmd_p1_enumerate(args, opt: Options) -> int:
-    divisors = _parse_p1_pair(args.pair)
-    try:
-        records = search_mod.enumerate_campana_points_p1(
-            divisors, opt.s_primes, opt.height(),
-            include_support_points=not args.no_support,
-        )
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    rows = []
-    for r in records:
-        obj = r.to_json_obj()
-        rows.append({"__json__": obj, "point": obj["point"], "height": r.height,
-                     "verdict": obj["verdict"], "flags": "+".join(r.flags)})
-    emit(rows, ["point", "height", "verdict", "flags"], opt.fmt)
-    return 0
-
-
-def cmd_point_verify(args, opt: Options) -> int:
-    ctx = SIntegerContext(opt.s_primes)
-    try:
-        a, b = parse_rational(args.a), parse_rational(args.b)
-        membership = search_mod.verify_point_on_X(a, b, ctx)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+def cmd_point_verify(args, opt: Options):
+    """Is (a, b) on X and on Y?"""
+    ctx = SIntegerContext(opt.get("s", ()))
+    a, b = parse_rational(args.a), parse_rational(args.b)
+    membership = search_mod.verify_point_on_X(a, b, ctx)
     obj = {"a": format_rational(a), "b": format_rational(b),
            "s": list(ctx.sorted_primes()),
            "value": format_rational(membership.value),
            "on_x": membership.on_x, "on_y": membership.on_y}
-    rows = [{"__json__": obj, **obj, "s": ",".join(map(str, ctx.sorted_primes()))}]
-    emit(rows, ["a", "b", "s", "value", "on_x", "on_y"], opt.fmt)
-    return 1 if opt.strict and not membership.on_x else 0
+    return [obj], ["a", "b", "s", "value", "on_x", "on_y"], None
 
 
-# -- parser --------------------------------------------------------------------
+# -- the command table -----------------------------------------------------------
+
+
+def arg(*names: str, **kwargs):
+    return names, kwargs
+
+
+SPEC = arg("spec", help='semigroup text: "<2,7>", "<2..", "{}", blocks joined by |')
+M = arg("--m", type=int)
+FIBRES = arg("--fibres", required=True, help="list of fibre objects (JSON inline or file)")
+EXPONENTS = arg("exponents", type=int, nargs="+", metavar="A")
+NO_SUPPORT = arg("--no-support", action="store_true", help="drop flagged support points")
+
+# (path, handler, arguments, strict field: the JSON key whose false value makes --strict exit 1)
+COMMANDS = [
+    ("factor", cmd_factor, [arg("value")], None),
+    ("mfull check", cmd_mfull_check, [arg("value"), M], "full"),
+    ("mfull list", cmd_mfull_list, [arg("bound_pos", type=int, metavar="BOUND"), M], None),
+    ("semigroup atoms", cmd_semigroup_atoms, [SPEC], None),
+    ("semigroup contains", cmd_semigroup_contains, [SPEC, arg("n", type=int)], "contains"),
+    ("semigroup elements", cmd_semigroup_elements, [SPEC, arg("--bound", type=int)], None),
+    ("semigroup frobenius", cmd_semigroup_frobenius, [SPEC], None),
+    ("cpair check", cmd_cpair_check, [
+        arg("--pair", required=True, help='e.g. "0: >=2; 1: inf; inf: union <2,7>|<3>"'),
+        arg("--point", required=True, help="valuation vector JSON (inline or file path)")], "accepted"),
+    ("cpair divisor", cmd_cpair_divisor, [arg("--pair", required=True)], None),
+    ("config check", cmd_config_check, [
+        arg("--union", required=True, help='semigroup union text, e.g. "<2,7>|<3>"'),
+        arg("--configuration", required=True, help="configuration JSON (inline or file path)")],
+     "accepted"),
+    ("fibre classify", cmd_fibre_classify, [
+        arg("--mults", default="", help="comma-separated component multiplicities"),
+        arg("--exceptional", action="store_true"), arg("--empty", action="store_true")], None),
+    ("fibre orbifold-base", cmd_fibre_orbifold_base, [FIBRES], None),
+    ("fibre checklist", cmd_fibre_checklist, [
+        FIBRES,
+        arg("--base-ws", action=argparse.BooleanOptionalAction, required=True, dest="base_ws",
+            help="caller certifies: the base is weakly special"),
+        arg("--dense-ws", action=argparse.BooleanOptionalAction, required=True, dest="dense_ws",
+            help="caller certifies: weakly special fibres are dense")], "certified"),
+    ("xa classify", cmd_xa_classify, [EXPONENTS], None),
+    ("kodaira reduce", cmd_kodaira_reduce, [arg("type", help="II*, III*, or IV*")], None),
+    ("weights", cmd_weights, [EXPONENTS, arg("--blocks", default="", help="comma-separated block sizes")],
+     None),
+    ("space report", cmd_space_report, [
+        arg("--condition", required=True, help='condition text, e.g. ">=2" or "div 2"')], None),
+    ("search", cmd_search, [
+        arg("kind", choices=["2full", "2or3"]),
+        arg("--bound", type=int, help="sup-norm exponent bound"),
+        arg("--no-negative", action="store_true", help="skip negative units"), NO_SUPPORT], None),
+    ("p1 enumerate", cmd_p1_enumerate, [
+        arg("--pair", required=True, help='e.g. "0: >=2; 1: >=2; inf: >=2"'),
+        arg("--height", type=int), NO_SUPPORT], None),
+    ("point verify", cmd_point_verify, [arg("--a", required=True), arg("--b", required=True)], "on_x"),
+]
+
+GROUPS = {"mfull": "m-full (powerful) numbers", "semigroup": "numerical semigroup queries",
+          "cpair": "multiplicity-condition checks", "config": "divisor configuration checks",
+          "fibre": "fibre and orbifold-base analysis", "xa": "the coordinate-power family",
+          "kodaira": "starred Kodaira fibres", "space": "model-space reports",
+          "p1": "bounded-height points on the line", "point": "verify candidate points"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -633,141 +576,43 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cpairs` parser, built once per process from `COMMANDS`."""
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "table"], default=None,
+    common.add_argument("--format", choices=["json", "csv", "table"],
                         help="output format (default json)")
-    common.add_argument("--strict", action="store_const", const=True, default=None,
+    common.add_argument("--strict", action="store_const", const=True,
                         help="exit 1 when the verdict is a rejection")
-    common.add_argument("--config", default=None, metavar="PATH",
+    common.add_argument("--config", metavar="PATH",
                         help="plain-text config file presetting common flags")
-    common.add_argument("--s", default=None, metavar="P,P,...",
+    common.add_argument("--s", metavar="P,P,...",
                         help="excluded primes S (comma separated, empty for none)")
 
     p = _Parser(prog="cpairs", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("factor", parents=[common], help="factor a nonzero rational")
-    sp.add_argument("value")
-    sp.set_defaults(fn=cmd_factor)
-
-    mf = sub.add_parser("mfull", parents=[common], help="m-full (powerful) numbers")
-    mfsub = mf.add_subparsers(dest="action", required=True)
-    c = mfsub.add_parser("check", parents=[common])
-    c.add_argument("value")
-    c.add_argument("--m", type=int, default=None)
-    c.set_defaults(fn=cmd_mfull_check)
-    c = mfsub.add_parser("list", parents=[common])
-    c.add_argument("bound_pos", type=int, metavar="BOUND")
-    c.add_argument("--m", type=int, default=None)
-    c.set_defaults(fn=cmd_mfull_list)
-
-    sg = sub.add_parser("semigroup", parents=[common], help="numerical semigroup queries")
-    sgsub = sg.add_subparsers(dest="action", required=True)
-    for action in ("atoms", "contains", "elements", "frobenius"):
-        c = sgsub.add_parser(action, parents=[common])
-        c.add_argument("spec", help='semigroup text: "<2,7>", "<2..", "{}", blocks joined by |')
-        if action == "contains":
-            c.add_argument("n", type=int)
-        if action == "elements":
-            c.add_argument("--bound", type=int, default=None)
-        c.set_defaults(fn=cmd_semigroup)
-
-    cp = sub.add_parser("cpair", parents=[common], help="multiplicity-condition checks")
-    cpsub = cp.add_subparsers(dest="action", required=True)
-    c = cpsub.add_parser("check", parents=[common])
-    c.add_argument("--pair", required=True, help='e.g. "0: >=2; 1: inf; inf: union <2,7>|<3>"')
-    c.add_argument("--point", required=True, help="valuation vector JSON (inline or file path)")
-    c.set_defaults(fn=cmd_cpair_check)
-    c = cpsub.add_parser("divisor", parents=[common])
-    c.add_argument("--pair", required=True)
-    c.set_defaults(fn=cmd_cpair_divisor)
-
-    cf = sub.add_parser("config", parents=[common], help="divisor configuration checks")
-    cfsub = cf.add_subparsers(dest="action", required=True)
-    c = cfsub.add_parser("check", parents=[common])
-    c.add_argument("--union", required=True, help='semigroup union text, e.g. "<2,7>|<3>"')
-    c.add_argument("--configuration", required=True,
-                   help="configuration JSON (inline or file path)")
-    c.set_defaults(fn=cmd_config_check)
-
-    fb = sub.add_parser("fibre", parents=[common], help="fibre and orbifold-base analysis")
-    fbsub = fb.add_subparsers(dest="action", required=True)
-    c = fbsub.add_parser("classify", parents=[common])
-    c.add_argument("--mults", default="", help="comma-separated component multiplicities")
-    c.add_argument("--exceptional", action="store_true")
-    c.add_argument("--empty", action="store_true")
-    c.set_defaults(fn=cmd_fibre_classify)
-    c = fbsub.add_parser("orbifold-base", parents=[common])
-    c.add_argument("--fibres", required=True, help="list of fibre objects (JSON inline or file)")
-    c.set_defaults(fn=cmd_fibre_orbifold_base)
-    c = fbsub.add_parser("checklist", parents=[common])
-    c.add_argument("--fibres", required=True)
-    c.add_argument("--base-ws", action=argparse.BooleanOptionalAction, required=True,
-                   dest="base_ws", help="caller certifies: the base is weakly special")
-    c.add_argument("--dense-ws", action=argparse.BooleanOptionalAction, required=True,
-                   dest="dense_ws", help="caller certifies: weakly special fibres are dense")
-    c.set_defaults(fn=cmd_fibre_checklist)
-
-    xa = sub.add_parser("xa", parents=[common], help="the coordinate-power family")
-    xasub = xa.add_subparsers(dest="action", required=True)
-    c = xasub.add_parser("classify", parents=[common])
-    c.add_argument("exponents", type=int, nargs="+", metavar="A")
-    c.set_defaults(fn=cmd_xa_classify)
-
-    kd = sub.add_parser("kodaira", parents=[common], help="starred Kodaira fibres")
-    kdsub = kd.add_subparsers(dest="action", required=True)
-    c = kdsub.add_parser("reduce", parents=[common])
-    c.add_argument("type", help="II*, III*, or IV*")
-    c.set_defaults(fn=cmd_kodaira_reduce)
-
-    c = sub.add_parser("weights", parents=[common], help="weight vector and kernel lattice")
-    c.add_argument("exponents", type=int, nargs="+", metavar="A")
-    c.add_argument("--blocks", default=None, help="comma-separated block sizes")
-    c.set_defaults(fn=cmd_weights)
-
-    c = sub.add_parser("space", parents=[common], help="model-space reports")
-    spsub = c.add_subparsers(dest="action", required=True)
-    c = spsub.add_parser("report", parents=[common])
-    c.add_argument("--condition", required=True, help='condition text, e.g. ">=2" or "div 2"')
-    c.set_defaults(fn=cmd_space_report)
-
-    se = sub.add_parser("search", parents=[common], help="shifted S-unit sweeps")
-    se.add_argument("kind", choices=["2full", "2or3"])
-    se.add_argument("--bound", type=int, default=None, help="sup-norm exponent bound")
-    se.add_argument("--no-negative", action="store_true", help="skip negative units")
-    se.add_argument("--no-support", action="store_true", help="drop flagged support points")
-    se.set_defaults(fn=cmd_search)
-
-    p1 = sub.add_parser("p1", parents=[common], help="bounded-height points on the line")
-    p1sub = p1.add_subparsers(dest="action", required=True)
-    c = p1sub.add_parser("enumerate", parents=[common])
-    c.add_argument("--pair", required=True, help='e.g. "0: >=2; 1: >=2; inf: >=2"')
-    c.add_argument("--height", type=int, default=None)
-    c.add_argument("--no-support", action="store_true")
-    c.set_defaults(fn=cmd_p1_enumerate)
-
-    pv = sub.add_parser("point", parents=[common], help="verify candidate points")
-    pvsub = pv.add_subparsers(dest="action", required=True)
-    c = pvsub.add_parser("verify", parents=[common])
-    c.add_argument("--a", required=True)
-    c.add_argument("--b", required=True)
-    c.set_defaults(fn=cmd_point_verify)
-
+    subs = {"": p.add_subparsers(dest="command", required=True)}
+    for path, handler, arguments, strict_field in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest="action", required=True)
+        leaf = subs[group].add_parser(name, parents=[common], help=handler.__doc__)
+        for names, kwargs in arguments:
+            leaf.add_argument(*names, **kwargs)
+        leaf.set_defaults(fn=handler, strict_field=strict_field)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         opt = Options(args)
-        return args.fn(args, opt)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
+        objs, columns, rows = args.fn(args, opt)
+        emit(objs, columns, opt.get("format", "json"), rows)
+        strict = args.strict_field is not None and opt.get("strict", False)
+        return 1 if strict and not objs[0][args.strict_field] else 0
+    except (CliError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

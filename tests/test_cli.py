@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cpairs.cli import MAX_SCAN, json_line, main
+from cpairs.cli import COMMANDS, MAX_SCAN, json_line, main
 
 
 def run(capsys, *argv):
@@ -195,8 +195,9 @@ def test_p1_enumerate_cli(capsys):
     pts = [o["point"] for o in jlines(out)]
     assert "9/8" in pts and "-8" in pts
     assert_json_roundtrip(out)
-    code, _, err = run(capsys, "p1", "enumerate", "--pair", "0: >=2; 0: >=3", "--height", "5")
-    assert code == 2
+    for pair in ("0: >=2; 0: >=3", "0 >=2", "0: >=2; 1/2: >=2; 2/4: >=3"):
+        code, out, err = run(capsys, "p1", "enumerate", "--pair", pair, "--height", "5")
+        assert code == 2 and out == "" and err.startswith("error:"), pair
 
 
 def test_point_verify(capsys):
@@ -215,6 +216,7 @@ def test_usage_errors_exit_2(capsys):
         (["mfull", "list", str(10**21)], str(MAX_SCAN)),
         (["semigroup", "elements", "<2,3>", "--bound", str(10**11)], str(MAX_SCAN)),
         (["search", "2full", "--s", "2,3,5,7", "--bound", "30"], str(MAX_SCAN)),
+        (["semigroup", "--format", "csv", "atoms", "<4.."], "usage"),  # common flags follow the leaf
     ]
     for argv, message in cases:
         try:
@@ -226,6 +228,26 @@ def test_usage_errors_exit_2(capsys):
         assert "Traceback" not in err
         if message is not None:
             assert message in err, argv
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    argv = ["search", "2full", "--s", "2", "--bound", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "csv", "--strict")
+    assert code == 0 and out.startswith("x,shift,")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("{")
+    assert_json_roundtrip(out)
+
+
+@pytest.mark.parametrize("path,arguments", [(c[0], c[2]) for c in COMMANDS])
+def test_help_lists_every_flag(capsys, path, arguments):
+    with pytest.raises(SystemExit) as exc:
+        main([*path.split(), "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    declared = [n for names, _ in arguments for n in names if n.startswith("-")]
+    for flag in ["--format", "--strict", "--config", "--s", *declared]:
+        assert flag in out, (path, flag)
 
 
 # -- config files -------------------------------------------------------------------
@@ -311,6 +333,8 @@ GOLDEN_COMMANDS = [
      1, "1349d235fc766d78", "9f3ae1eb9bdb4c89", "82b6dd73aaa3f3e4"),
     (("mfull", "check", "9/8", "--m", "2", "--s", "2"),
      0, "0c183d2294c8ecd8", "053a9aeaeb9da405", "a0c1bb2b12b5bc08"),
+    (("mfull", "check", "-200", "--s", "7,3"),
+     0, "c778d4c2c62668ab", "7308727845e72fa9", "6035b2f34ca92da6"),
     (("mfull", "list", "100", "--m", "2"),
      0, "4048873a1cd5771d", "c34bb7b9ed3be252", "805807940cf62eb3"),
     (("mfull", "list", "1000", "--m", "3"),
@@ -356,6 +380,8 @@ GOLDEN_COMMANDS = [
      1, "1d4ac5c61c253956", "110d39562d32ca16", "24927db30e04a909"),
     (("fibre", "checklist", "--fibres", FIBRES, "--no-base-ws", "--dense-ws"),
      0, "fc1200a5e83a2678", "be1cccb4078744ba", "f99a90a4b0541571"),
+    (("fibre", "checklist", "--fibres", FIBRES_ONE, "--no-base-ws", "--dense-ws", "--strict"),
+     1, "dc597a3a2cf25393", "9d681604ec21b835", "0279060ba33554dd"),
     (("xa", "classify", "2", "3"), 0, "446112f1f4337b52", "b697f8accf9d4416", "6cc7c5e44191f323"),
     (("xa", "classify", "6", "10", "15"),
      0, "d5a4cd5225a80d9d", "a75b353cbec41e42", "bb01187ca3e6dc53"),
@@ -383,6 +409,8 @@ GOLDEN_COMMANDS = [
      0, "86fbb98aea0aacb6", "6963c5540651b09d", "f88ddea0b046dc2c"),
     (("point", "verify", "--a", "3", "--b", "1", "--s", "2"),
      0, "8a3c82fa53f3f81a", "52b69822eed177ad", "3b757a7fa323dda6"),
+    (("point", "verify", "--a", "3", "--b", "1", "--s", "2,7"),
+     0, "4c7ceb7575339833", "306c83934a7ff6f0", "bacedc77612bcd4e"),
     (("point", "verify", "--a", "2", "--b", "3", "--strict"),
      1, "03d594040b5d37cb", "143542c0845cfba9", "7be7ff10114dbca9"),
 ]
