@@ -421,8 +421,11 @@ def m_full_count_bound(bound: int, m: int) -> int:
 
     Each one is a^m * prod_{0<j<m} b_j^(m+j) for some integers a, b_j >= 1, so
     there are at most bound^(1/m) * prod_j zeta(1 + j/m) of them, and
-    zeta(s) < s/(s-1) turns the product into C(2m-1, m).
+    zeta(s) < s/(s-1) turns the product into C(2m-1, m).  Below 2^m only 1 is
+    m-full, which keeps the bound exact (and cheap) for large m.
     """
+    if bound.bit_length() <= m:
+        return 1
     r = _iroot(bound, m)
     return math.comb(2 * m - 1, m) * (r + (r**m < bound))
 

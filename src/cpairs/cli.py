@@ -487,10 +487,10 @@ def cmd_p1_enumerate(args, opt: Options):
     """Accepted points of bounded height on the line."""
     spec = conditions.parse_pair_spec(args.pair)
     divisors = [(search_mod.parse_projective_point(lbl), cond) for lbl, cond in spec.divisors]
+    s_primes, height = opt.get("s", ()), opt.get("height")
+    _check_scan(search_mod.p1_scan_count(divisors, s_primes, height), "p1 enumerate")
     records = search_mod.enumerate_campana_points_p1(
-        divisors, opt.get("s", ()), opt.get("height"),
-        include_support_points=not args.no_support,
-    )
+        divisors, s_primes, height, include_support_points=not args.no_support)
     return [r.to_json_obj() for r in records], ["point", "height", "verdict", "flags"], None
 
 
@@ -608,9 +608,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opt = Options(args)
+        # resolved first, so that a malformed value exits 2 before any output
+        strict = args.strict_field is not None and opt.get("strict", False)
         objs, columns, rows = args.fn(args, opt)
         emit(objs, columns, opt.get("format", "json"), rows)
-        strict = args.strict_field is not None and opt.get("strict", False)
         return 1 if strict and not objs[0][args.strict_field] else 0
     except (CliError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

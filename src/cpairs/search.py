@@ -21,12 +21,26 @@ condition, coprimality for Y); a failure there is a hard internal error, not
 a rejection.  Candidates are sorted on the integer key (u, v, sign), which is
 (|numerator|, denominator, sign) with sign ascending, so -x precedes x, and
 scanned serially.
+
+Line points (p : q) of a pair on P^1 come from one of two candidate
+generators, chosen by the pair itself.  A divisor (a : b) is sparse when it is
+LOG or every multiplicity its condition accepts is >= 2 (`>=m`, `div m` with
+m >= 2, unions whose blocks all start at 2 or more).  With two sparse divisors
+the sieve lists the few resultant values t = p*b - q*a each of them accepts
+(+-(S-smooth part) * (core coprime to S with its exponents in the union),
+plus 0 unless LOG), takes the two lists with the smallest size bounds and
+solves the 2x2 system for (p, q); otherwise the box runs over every primitive pair up to the
+height.  Either way an integer verdict factors each resultant and stops at
+the first prime outside S whose exponent the condition refuses.  Only
+accepts build valuation vectors, and `check_generalized_point_dedekind`
+re-verifies each one; a disagreement is a hard internal error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,11 +50,13 @@ from .arith import (
     SIntegerContext,
     decompose_coprime_square_cube,
     decompose_square_cube,
+    enumerate_m_full,
     factor,
     format_rational,
     is_probable_prime,
     is_s_integer,
     is_s_unit,
+    m_full_count_bound,
     m_full_witness,  # noqa: F401 -- unused here, but perfbench/spans.py traces it by this name
     parse_rational,
     split_2full,
@@ -49,6 +65,7 @@ from .arith import (
 from .conditions import (
     CPairSpec,
     DivisorValuations,
+    LogCondition,
     PointVerdict,
     check_generalized_point_dedekind,
 )
@@ -302,6 +319,151 @@ def point_valuation_vector(
     return vec
 
 
+def _p1_setup(divisors, s_primes, height: int) -> tuple[SIntegerContext, CPairSpec]:
+    """Validate a line pair and its height bound; return its context and spec."""
+    if height < 1:
+        raise ValueError("height bound must be >= 1")
+    seen = set()
+    for (a, b), _ in divisors:
+        if _canonical_pair(a, b) != (a, b):
+            raise ValueError(f"divisor point ({a}, {b}) is not in canonical primitive form")
+        if (a, b) in seen:
+            raise ValueError(f"repeated divisor point {format_projective_point((a, b))}")
+        seen.add((a, b))
+    ctx = SIntegerContext(s_primes)
+    return ctx, CPairSpec([(format_projective_point(pt), cond) for pt, cond in divisors])
+
+
+def _values_bound(divisor, union, ctx: SIntegerContext, height: int) -> int:
+    """At least the length of `_accepted_values` for this divisor, computed without building it."""
+    (a, b), cond = divisor
+    bound = height * (abs(a) + abs(b))
+    smooth = 1  # exponent vectors with p^e <= bound for each p in S
+    for p in ctx.primes:
+        k, x = 1, p
+        while x <= bound:
+            k, x = k + 1, x * p
+        smooth *= k
+    if isinstance(cond, LogCondition):
+        return 2 * smooth
+    return 1 + 2 * smooth * m_full_count_bound(bound, union.min_element())
+
+
+def _sieve_divisors(divisors, spec: CPairSpec, ctx: SIntegerContext, height: int) -> list[tuple[int, int]]:
+    """(list length bound, index) of the two sparse divisors with the smallest bounds.
+
+    A divisor is sparse when it is LOG or its union's least element is >= 2;
+    empty when fewer than two divisors are sparse.
+    """
+    sized = []
+    for i, ((pt, cond), union) in enumerate(zip(divisors, spec.unions)):
+        least = union.min_element()
+        if isinstance(cond, LogCondition) or (least is not None and least >= 2):
+            sized.append((_values_bound((pt, cond), union, ctx, height), i))
+    return sorted(sized)[:2] if len(sized) >= 2 else []
+
+
+def p1_scan_count(divisors: Sequence[tuple[tuple[int, int], object]], s_primes: Iterable[int],
+                  height: int) -> int:
+    """A bound on the candidates `enumerate_campana_points_p1` examines, computed without building any.
+
+    The sieve's bound is the product of its two value-list bounds; the box
+    examines 1 + (2 * height + 1) * height pairs.
+    """
+    ctx, spec = _p1_setup(divisors, s_primes, height)
+    pair = _sieve_divisors(divisors, spec, ctx, height)
+    return pair[0][0] * pair[1][0] if pair else 1 + (2 * height + 1) * height
+
+
+def _accepted_values(divisor, union, ctx: SIntegerContext, height: int) -> list[int]:
+    """Ascending resultant values t that a sparse divisor (a : b) accepts up to the height.
+
+    |t| = |p * b - q * a| <= height * (|a| + |b|) =: bound, and t = +-s * c
+    with s S-smooth and c coprime to S with every exponent in the union, so c
+    is m-full for the union's least element m.  LOG takes c = 1 and excludes
+    t = 0 (the point would lie on the divisor).
+    """
+    (a, b), cond = divisor
+    bound = height * (abs(a) + abs(b))
+    smooth = [1]
+    for p in ctx.primes:
+        grown = []
+        for x in smooth:
+            while x <= bound:
+                grown.append(x)
+                x *= p
+        smooth = grown
+    smooth.sort()  # ascending, so each core stops at its first s past the bound
+    if isinstance(cond, LogCondition):
+        cores, values = [1], set()
+    else:
+        cores = [c for c in enumerate_m_full(bound, union.min_element())
+                 if all(p not in ctx.primes and union.contains(e) for p, e in factor(c).factors)]
+        values = {0}
+    for c in cores:
+        for s in smooth:
+            if s * c > bound:
+                break
+            values.update((s * c, -s * c))
+    return sorted(values)
+
+
+def _t_range(c: int, lo: int, hi: int) -> tuple:
+    """(first, last) of the integers t with lo <= c * t <= hi."""
+    if c == 0:
+        return (-math.inf, math.inf) if lo <= 0 <= hi else (1, 0)
+    if c < 0:
+        c, lo, hi = -c, -hi, -lo
+    return -(-lo // c), hi // c
+
+
+def _sieve_candidates(pt1, pt2, values1: list[int], values2: list[int],
+                      height: int) -> Iterator[tuple[int, int]]:
+    """Canonical primitive (p : q) up to the height whose resultants against
+    pt1 and pt2 lie in values1 and values2 (ascending)."""
+    (a1, b1), (a2, b2) = pt1, pt2
+    det = a1 * b2 - a2 * b1  # nonzero: the divisor points are distinct and primitive
+    q_lo, q_hi = sorted((0, height * det))
+    p_hi = height * abs(det)
+    for t1 in values1:
+        # q * det = b1 * t2 - b2 * t1 with 0 <= q <= height; p * det = a1 * t2 - a2 * t1 with |p| <= height
+        lo1, hi1 = _t_range(b1, b2 * t1 + q_lo, b2 * t1 + q_hi)
+        lo2, hi2 = _t_range(a1, a2 * t1 - p_hi, a2 * t1 + p_hi)
+        for t2 in values2[bisect_left(values2, max(lo1, lo2)):bisect_right(values2, min(hi1, hi2))]:
+            p, rp = divmod(a1 * t2 - a2 * t1, det)
+            q, rq = divmod(b1 * t2 - b2 * t1, det)
+            if rp == rq == 0 and (q > 0 or p == 1) and math.gcd(p, q) == 1:
+                yield p, q
+
+
+def _box_candidates(height: int) -> Iterator[tuple[int, int]]:
+    """Every canonical primitive (p : q) with max(|p|, q) <= height."""
+    yield 1, 0
+    for q in range(1, height + 1):
+        for p in range(-height, height + 1):
+            if math.gcd(p, q) == 1:
+                yield p, q
+
+
+def _integer_verdict(p: int, q: int, checks, s_primes: frozenset) -> "bool | None":
+    """None when a divisor rejects (p : q), else whether the point lies on a divisor.
+
+    checks holds (a, b, union, is LOG) per divisor; the first rejection ends
+    the scan.  A LOG union contains no multiplicity, so any prime outside S
+    in a nonzero resultant rejects.
+    """
+    in_support = False
+    for a, b, union, log in checks:
+        t = p * b - q * a
+        if t == 0:
+            if log:
+                return None
+            in_support = True
+        elif any(pr not in s_primes and not union.contains(e) for pr, e in factor(t).factors):
+            return None
+    return in_support
+
+
 def enumerate_campana_points_p1(
     divisors: Sequence[tuple[tuple[int, int], object]],
     s_primes: Iterable[int],
@@ -315,28 +477,28 @@ def enumerate_campana_points_p1(
     Points run over primitive pairs (p : q) with max(|p|, q) <= height,
     q >= 0, and p = 1 when q = 0.
     """
-    if height < 1:
-        raise ValueError("height bound must be >= 1")
-    seen = set()
-    for (a, b), _ in divisors:
-        if _canonical_pair(a, b) != (a, b):
-            raise ValueError(f"divisor point ({a}, {b}) is not in canonical primitive form")
-        if (a, b) in seen:
-            raise ValueError(f"repeated divisor point {format_projective_point((a, b))}")
-        seen.add((a, b))
-
-    ctx = SIntegerContext(s_primes)
-    spec = CPairSpec([(format_projective_point(pt), cond) for pt, cond in divisors])
+    ctx, spec = _p1_setup(divisors, s_primes, height)
+    checks = [(a, b, union, isinstance(cond, LogCondition))
+              for ((a, b), cond), union in zip(divisors, spec.unions)]
+    pair = _sieve_divisors(divisors, spec, ctx, height)
+    if pair:
+        (_, i), (_, j) = pair
+        candidates = _sieve_candidates(divisors[i][0], divisors[j][0],
+                                       _accepted_values(divisors[i], spec.unions[i], ctx, height),
+                                       _accepted_values(divisors[j], spec.unions[j], ctx, height), height)
+        # both sieve divisors accept every candidate, so the others go first and reject early
+        checks = [c for k, c in enumerate(checks) if k not in (i, j)] + [checks[i], checks[j]]
+    else:
+        candidates = _box_candidates(height)
 
     out = []
-    for q in range(0, height + 1):
-        ps = [1] if q == 0 else [p for p in range(-height, height + 1) if math.gcd(p, q) == 1]
-        for p in ps:
-            vec = point_valuation_vector(p, q, divisors, ctx)
-            verdict = check_generalized_point_dedekind(spec, vec)
-            if not verdict.accepted:
-                continue
-            if not include_support_points and "in_support" in verdict.flags:
-                continue
-            out.append(P1PointRecord(p=p, q=q, verdict=verdict))
+    for p, q in candidates:
+        in_support = _integer_verdict(p, q, checks, ctx.primes)
+        if in_support is None or (in_support and not include_support_points):
+            continue
+        verdict = check_generalized_point_dedekind(spec, point_valuation_vector(p, q, divisors, ctx))
+        if not verdict.accepted or ("in_support" in verdict.flags) != in_support:
+            # an accept the condition check refuses exposes a bug, so fail loudly
+            raise AssertionError(f"integer verdict and condition check disagree at ({p} : {q})")
+        out.append(P1PointRecord(p=p, q=q, verdict=verdict))
     return sorted(out, key=lambda r: (r.height, r.q, r.p))

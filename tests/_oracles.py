@@ -169,3 +169,28 @@ def oracle_p1_accepts(divisors, s_primes, height: int, include_support=True) -> 
             if ok and (include_support or not in_support):
                 accepted.add((p, q))
     return accepted
+
+
+def box_p1_records(divisors, s_primes, height: int, include_support_points=True):
+    """`enumerate_campana_points_p1` the long way: every primitive pair in the box.
+
+    This is the enumerator's former loop, kept as the reference for its
+    candidate generators: each pair's valuation vector is built with
+    `point_valuation_vector` and judged by `check_generalized_point_dedekind`.
+    """
+    import math
+
+    from cpairs.arith import SIntegerContext
+    from cpairs.conditions import CPairSpec, check_generalized_point_dedekind
+    from cpairs.search import P1PointRecord, format_projective_point, point_valuation_vector
+
+    ctx = SIntegerContext(s_primes)
+    spec = CPairSpec([(format_projective_point(pt), cond) for pt, cond in divisors])
+    out = []
+    for q in range(0, height + 1):
+        ps = [1] if q == 0 else [p for p in range(-height, height + 1) if math.gcd(p, q) == 1]
+        for p in ps:
+            verdict = check_generalized_point_dedekind(spec, point_valuation_vector(p, q, divisors, ctx))
+            if verdict.accepted and (include_support_points or "in_support" not in verdict.flags):
+                out.append(P1PointRecord(p=p, q=q, verdict=verdict))
+    return sorted(out, key=lambda r: (r.height, r.q, r.p))

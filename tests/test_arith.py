@@ -183,7 +183,7 @@ def test_enumerate_prefix_property(bound, m):
     assert enumerate_m_full(bound, m) == [n for n in full if n <= bound]
 
 
-@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=6))
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=14))
 def test_m_full_count_bound_holds(bound, m):
     assert len(enumerate_m_full(bound, m)) <= m_full_count_bound(bound, m)
 

@@ -51,6 +51,8 @@ def test_mfull_list(capsys):
     assert code == 0 and obj["count"] == 14
     assert obj["values"][:4] == [1, 4, 8, 9]
     assert_json_roundtrip(out)
+    code, out, _ = run(capsys, "mfull", "list", "100", "--m", str(10**5))  # only 1 is m-full below 2^m
+    assert code == 0 and jlines(out)[0]["values"] == [1]
 
 
 def test_semigroup_commands(capsys):
@@ -200,6 +202,12 @@ def test_p1_enumerate_cli(capsys):
         assert code == 2 and out == "" and err.startswith("error:"), pair
 
 
+def test_p1_enumerate_sieve_stays_under_the_scan_limit(capsys):
+    code, out, _ = run(capsys, "p1", "enumerate", "--pair", "0: >=2; 1: >=2; inf: >=2",
+                       "--height", str(10**4))
+    assert code == 0 and len(out.splitlines()) == 463
+
+
 def test_point_verify(capsys):
     code, out, _ = run(capsys, "point", "verify", "--a", "3", "--b", "1", "--s", "2")
     assert jlines(out)[0] == {"a": "3", "b": "1", "s": [2], "value": "8",
@@ -216,6 +224,8 @@ def test_usage_errors_exit_2(capsys):
         (["mfull", "list", str(10**21)], str(MAX_SCAN)),
         (["semigroup", "elements", "<2,3>", "--bound", str(10**11)], str(MAX_SCAN)),
         (["search", "2full", "--s", "2,3,5,7", "--bound", "30"], str(MAX_SCAN)),
+        (["p1", "enumerate", "--pair", "0: >=1", "--height", str(10**9)], str(MAX_SCAN)),
+        (["p1", "enumerate", "--pair", "0: >=1", "--height", "3000"], str(MAX_SCAN)),  # the box, just over
         (["semigroup", "--format", "csv", "atoms", "<4.."], "usage"),  # common flags follow the leaf
     ]
     for argv, message in cases:
@@ -292,6 +302,11 @@ def test_config_file_errors(tmp_path, capsys):
     jobs.write_text("s = 2\nbound = 1\njobs = 2\n")
     code, _, err = run(capsys, "search", "2full", "--config", str(jobs))
     assert code == 2 and f"{jobs}:3:1" in err and "unknown config key" in err
+
+    strict = tmp_path / "strict.cfg"
+    strict.write_text("strict = maybe\n")
+    code, out, err = run(capsys, "semigroup", "contains", "<2,3>", "1", "--config", str(strict))
+    assert code == 2 and out == "" and f"{strict}:1:10" in err
 
 
 def test_json_roundtrip_across_commands(capsys):

@@ -1,13 +1,15 @@
 """Shifted-unit sweeps, lifts, and bounded-height line points."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpairs.arith import SIntegerContext
 from cpairs.cli import json_line, main
-from cpairs.conditions import AtLeast, LOG
+from cpairs.conditions import AtLeast, DivisibleBy, LOG, parse_condition
 from cpairs.search import (
     PointRecord,
     SearchConfig,
@@ -19,7 +21,7 @@ from cpairs.search import (
     verify_point_on_X,
 )
 
-from _oracles import oracle_p1_accepts, oracle_search
+from _oracles import box_p1_records, oracle_p1_accepts, oracle_search
 
 S2B4 = SearchConfig(s_primes=[2], exponent_bound=4)
 
@@ -239,3 +241,36 @@ def test_p1_support_toggle_and_order():
     assert all("in_support" not in r.flags for r in recs)
     keys = [(r.height, r.q, r.p) for r in recs]
     assert keys == sorted(keys)
+
+
+P1_POINTS = [(1, 0)] + [(p, q) for q in range(1, 4) for p in range(-4, 5) if math.gcd(p, q) == 1]
+P1_CONDITIONS = [*map(AtLeast, (1, 2, 3, 4, 40)), *map(DivisibleBy, (1, 2, 3)), LOG,
+                 parse_condition("union <2,7>|<3>"), parse_condition("union <2>|<3>")]
+
+
+@settings(max_examples=200)
+@given(points=st.lists(st.sampled_from(P1_POINTS), min_size=1, max_size=4, unique=True),
+       conds=st.lists(st.sampled_from(P1_CONDITIONS), min_size=4, max_size=4),
+       s=st.sets(st.sampled_from((2, 3, 5))), height=st.integers(1, 25), support=st.booleans())
+def test_p1_generators_match_the_box(points, conds, s, height, support):
+    # the sieve (two or more sparse divisors) and the box fallback against the former loop
+    divisors = list(zip(points, conds))
+    got = enumerate_campana_points_p1(divisors, sorted(s), height, include_support_points=support)
+    want = box_p1_records(divisors, sorted(s), height, include_support_points=support)
+    assert [r.to_json_obj() for r in got] == [r.to_json_obj() for r in want]
+    assert got == want  # the verdicts behind the JSON too
+
+
+@pytest.mark.parametrize("oracle_divisors,s", [
+    ([((0, 1), 2), ((1, 1), 2), ((1, 0), 2)], ()),
+    ([((0, 1), None), ((1, 1), 2), ((1, 0), 2)], (2,)),  # LOG at 0
+], ids=["2-2-2", "log-2-2"])
+def test_p1_sieve_matches_oracle_at_height_300(oracle_divisors, s):
+    divisors = [(pt, LOG if m is None else AtLeast(m)) for pt, m in oracle_divisors]
+    got = {(r.p, r.q) for r in enumerate_campana_points_p1(divisors, s, 300)}
+    assert got == oracle_p1_accepts(oracle_divisors, s, 300)
+
+
+def test_p1_census_at_height_1000():
+    # squareful p, q and p - q (or zero), support points included
+    assert len(enumerate_campana_points_p1(HALF, (), 1000)) == 123
