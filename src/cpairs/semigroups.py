@@ -6,9 +6,17 @@ Frobenius convention still treats it as reachable, so frobenius(<1>) == -1).
 Membership runs on the Apery set of the gcd-scaled semigroup with respect to
 its smallest generator a1: Ap[r] is the least element congruent to r mod a1
 (Ap[0] = 0), so n is in S exactly when n >= Ap[n mod a1].  The set is built
-by the round-robin algorithm of Boecker and Liptak ("A fast and simple
-algorithm for the money changing problem", Algorithmica 2007) in O(k * a1)
-time and O(a1) memory for k generators, once per semigroup.
+once per semigroup.  When the generators below 2*a1 fill every nonzero
+residue class, as they do for "<m..", it is read off the generators in O(k)
+for k generators.  Otherwise the round-robin algorithm of Boecker and Liptak
+("A fast and simple algorithm for the money changing problem", Algorithmica
+2007) builds it in O(k * a1) time and O(a1) memory.  Atoms test only splits
+whose smaller part is a1 or an Apery element, so they cost nothing for
+generators below 2*a1.
+
+A parsed block, or a `from_lower_bound` semigroup, may ask for an Apery set
+of at most MAX_APERY entries; a larger one is refused with ValueError before
+anything of its size is allocated.
 
 Text forms: "<a,b,c>" generated, "<m.." for everything >= m, "{}" empty,
 "|" separates union blocks.
@@ -16,11 +24,15 @@ Text forms: "<a,b,c>" generated, "<m.." for everything >= m, "{}" empty,
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+# The most Apery-set entries (a1 / gcd) a parsed block or a lower bound may ask for.
+MAX_APERY = 10**7
 
 
 @dataclass(frozen=True)
@@ -49,30 +61,21 @@ class NumericalSemigroup:
 
     @cached_property
     def _scaled(self) -> tuple[int, list[int]]:
-        """(gcd g of the generators, Apery set of S/g with respect to its smallest generator).
+        """(gcd g of the generators, Apery set of S/g with respect to its smallest generator a1).
 
-        Round-robin (Boecker-Liptak): add the generators one at a time; a new
-        generator a walks each residue cycle r -> r + a (mod a1) from the
-        cycle's least entry, lowering every entry it can reach more cheaply.
+        Seed: when the generators below 2*a1 hold every nonzero class mod a1,
+        the least generator of each class is its Apery element, because any
+        smaller element of the class would be a sum of at least two
+        generators, hence >= 2*a1.  The integers strictly between a1 and 2*a1
+        lie in distinct classes, so this happens exactly when they are all
+        generators, and then Ap[r] = a1 + r.  Otherwise round-robin.
         """
         g = self.gcd
         a1, *rest = (x // g for x in self.generators)
-        ap: list[int | None] = [0] + [None] * (a1 - 1)
-        for a in rest:
-            d = math.gcd(a1, a)
-            for p in range(d):
-                reached = [ap[r] for r in range(p, a1, d) if ap[r] is not None]
-                if not reached:
-                    continue
-                n = min(reached)
-                for _ in range(a1 // d - 1):
-                    n += a
-                    r = n % a1
-                    if ap[r] is not None and ap[r] < n:
-                        n = ap[r]
-                    else:
-                        ap[r] = n
-        return g, ap
+        low = [a for a in rest[:a1 - 1] if a < 2 * a1]
+        if len(low) == a1 - 1:
+            return g, [0, *low]
+        return g, _round_robin(a1, rest)
 
     # -- queries -----------------------------------------------------------
 
@@ -99,12 +102,14 @@ class NumericalSemigroup:
             return ()
         g, ap = self._scaled
         a1 = len(ap)
+        # In a split a = f + h with a1 <= f <= h, either f is an Apery element
+        # or f - a1 is 0 or an element, and then a = a1 + (a - a1) is a split.
+        # So the smaller parts worth testing are a1 and the Apery elements.
+        parts = [a1, *sorted(ap)[1:]]
         out = []
         for x in self.generators:
             a = x // g
-            # both parts of a split a = f + (a - f) are elements, hence >= a1;
-            # by symmetry the smaller part is at most a/2
-            if not any(f >= ap[f % a1] and a - f >= ap[(a - f) % a1] for f in range(a1, a // 2 + 1)):
+            if not any(a - f >= ap[(a - f) % a1] for f in parts[:bisect.bisect_right(parts, a // 2)]):
                 out.append(x)
         return tuple(out)
 
@@ -125,10 +130,40 @@ class NumericalSemigroup:
         """The set {m, m+1, m+2, ...}, generated by m..2m-1."""
         if m < 1:
             raise ValueError(f"lower bound must be >= 1, got {m}")
+        _check_apery_size(m, f"<{m}..")
         return NumericalSemigroup(range(m, 2 * m))
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({list(self.generators)})"
+
+
+def _check_apery_size(a1: int, text: str) -> None:
+    if a1 > MAX_APERY:
+        raise ValueError(f"{text} needs an Apery set of {a1} entries, over the limit of {MAX_APERY}")
+
+
+def _round_robin(a1: int, rest: list[int]) -> list[int]:
+    """Apery set w.r.t. a1 of the semigroup generated by a1 and `rest` (gcd 1), by
+    Boecker-Liptak round-robin: add the generators one at a time; a new
+    generator a walks each residue cycle r -> r + a (mod a1) from the cycle's
+    least entry, lowering every entry it can reach more cheaply.
+    """
+    ap: list[int | None] = [0] + [None] * (a1 - 1)
+    for a in rest:
+        d = math.gcd(a1, a)
+        for p in range(d):
+            reached = [ap[r] for r in range(p, a1, d) if ap[r] is not None]
+            if not reached:
+                continue
+            n = min(reached)
+            for _ in range(a1 // d - 1):
+                n += a
+                r = n % a1
+                if ap[r] is not None and ap[r] < n:
+                    n = ap[r]
+                else:
+                    ap[r] = n
+    return ap
 
 
 @dataclass(frozen=True)
@@ -199,7 +234,9 @@ def parse_semigroup(text: str) -> NumericalSemigroup:
         return NumericalSemigroup.from_lower_bound(int(m.group(1)))
     m = _GENS.match(s)
     if m:
-        return NumericalSemigroup(int(t) for t in m.group(1).split(","))
+        sg = NumericalSemigroup(int(t) for t in m.group(1).split(","))
+        _check_apery_size(sg.generators[0] // sg.gcd, s)
+        return sg
     raise ValueError(f"cannot parse semigroup: {text!r}")
 
 
@@ -214,7 +251,7 @@ def format_semigroup(s: NumericalSemigroup) -> str:
         return "{}"
     gens = s.generators
     m = gens[0]
-    if gens == tuple(range(m, 2 * m)):
+    if len(gens) == m and gens[-1] == 2 * m - 1:  # sorted and distinct: exactly m..2m-1
         return f"<{m}.."
     return "<" + ",".join(str(g) for g in gens) + ">"
 

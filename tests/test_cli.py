@@ -226,6 +226,13 @@ def test_usage_errors_exit_2(capsys):
         (["search", "2full", "--s", "2,3,5,7", "--bound", "30"], str(MAX_SCAN)),
         (["p1", "enumerate", "--pair", "0: >=1", "--height", str(10**9)], str(MAX_SCAN)),
         (["p1", "enumerate", "--pair", "0: >=1", "--height", "3000"], str(MAX_SCAN)),  # the box, just over
+        # blocks whose Apery set would pass the limit, refused before any allocation
+        (["semigroup", "contains", "<1000000000,1000000001>", "5"], str(MAX_SCAN)),
+        (["semigroup", "frobenius", "<1000000000.."], str(MAX_SCAN)),
+        (["cpair", "divisor", "--pair", "D: union <1000000000.."], str(MAX_SCAN)),
+        (["cpair", "divisor", "--pair", "D: >=1000000000"], str(MAX_SCAN)),
+        (["config", "check", "--union", "<1000000000,1000000001>",
+          "--configuration", '{"components": [["A", 3]], "edges": []}'], str(MAX_SCAN)),
         (["semigroup", "--format", "csv", "atoms", "<4.."], "usage"),  # common flags follow the leaf
     ]
     for argv, message in cases:

@@ -1,11 +1,15 @@
 """Numerical semigroups: membership, atoms, frobenius, unions, text grammar."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cpairs.semigroups import (
+    MAX_APERY,
     NumericalSemigroup,
     SemigroupUnion,
+    _round_robin,
     format_semigroup,
     format_union,
     parse_semigroup,
@@ -60,6 +64,43 @@ def test_atoms_of_lower_bound_sets():
         s = NumericalSemigroup.from_lower_bound(m)
         assert s.atoms() == tuple(range(m, 2 * m))
         assert s.generators == tuple(range(m, 2 * m))
+
+
+@st.composite
+def _seeded_sets(draw):
+    """Generator sets whose generators below 2*a1 fill every nonzero class mod a1:
+    <m.. with m up to 300, plus extra generators above m, times a common factor."""
+    m = draw(st.integers(min_value=1, max_value=300))
+    extra = draw(st.sets(st.integers(min_value=m, max_value=6 * m), max_size=8))
+    scale = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    return {scale * g for g in set(range(m, 2 * m)) | extra}
+
+
+@given(_seeded_sets())
+def test_seeded_apery_set_matches_round_robin(gens):
+    s = NumericalSemigroup(gens)
+    g, ap = s._scaled
+    a1, *rest = (x // g for x in s.generators)
+    assert g == math.gcd(*gens)
+    assert ap == _round_robin(a1, rest)
+
+
+def test_seed_is_refused_when_a_class_misses_below_2a1():
+    # 9 = 1 mod 4 but 9 >= 8, and 5 = 4 + 1 is not in <4,6,9>: round-robin must run
+    g, ap = NumericalSemigroup([4, 6, 9])._scaled
+    assert (g, ap) == (1, [0, 9, 6, 15]) == (1, _round_robin(4, [6, 9]))
+
+
+def test_large_lower_bound_answers():
+    s = NumericalSemigroup.from_lower_bound(10000)
+    assert s.frobenius() == 9999
+    assert not s.contains(5000) and s.contains(10000)
+    assert len(s.atoms()) == 10000
+
+
+def test_atoms_do_not_scan_up_to_a_large_generator():
+    assert NumericalSemigroup([2, 100000001]).atoms() == (2, 100000001)
+    assert NumericalSemigroup([1000, 1000000001]).atoms() == (1000, 1000000001)
 
 
 def test_atoms_drop_redundant_generators():
@@ -158,6 +199,17 @@ def test_parse_errors():
             parse_semigroup(bad)
 
 
+def test_parse_refuses_apery_sets_past_the_limit():
+    # the limit is on a1 / gcd; the generators at the limit parse (no table is built yet)
+    assert parse_semigroup(f"<{2 * MAX_APERY},{2 * MAX_APERY + 2}>").gcd == 2
+    for bad in (f"<{MAX_APERY + 1}..", f"<{MAX_APERY + 1},{MAX_APERY + 2}>",
+                f"<{3 * MAX_APERY + 3},{3 * MAX_APERY + 6}>", "<2>|<1000000000.."):
+        with pytest.raises(ValueError, match=str(MAX_APERY)):
+            parse_union(bad)
+    with pytest.raises(ValueError, match=str(MAX_APERY)):
+        NumericalSemigroup.from_lower_bound(10**9)
+
+
 def test_format_roundtrip():
     for text in ("<2,7>", "<4..", "{}", "<1..", "<3,5>"):
         assert format_semigroup(parse_semigroup(text)) == text
@@ -165,3 +217,4 @@ def test_format_roundtrip():
         assert format_union(parse_union(text)) == text
     # generators that happen to form a full interval print in lower-bound form
     assert format_semigroup(NumericalSemigroup([2, 3])) == "<2.."
+    assert format_semigroup(NumericalSemigroup([3, 4, 6])) == "<3,4,6>"
