@@ -10,8 +10,25 @@ this package runs:
   inside the blocks that share a factor with n;
 * a cofactor below 10007^2 (10007 is the first prime past the trial primes)
   with no trial-prime factor is prime outright;
-* deterministic Miller-Rabin above that, and Brent's cycle variant of
-  Pollard rho to split what it finds composite.
+* Miller-Rabin above that, on the shortest prefix of the prime bases
+  2, 3, ..., 41 proven for n, and Brent's cycle variant of Pollard rho to
+  split what it finds composite.
+
+The first k prime bases decide every n below psi_k, the least strong
+pseudoprime to all of them (OEIS A014233; Jaeschke, "On strong pseudoprimes
+to several bases", Math. Comp. 1993; Sorenson and Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 2017).  The tiers:
+
+    n < psi_4  = 3,215,031,751                        4 bases (2..7)
+    n < psi_5  = 2,152,302,898,747                    5 bases (2..11)
+    n < psi_6  = 3,474,749,660,383                    6 bases (2..13)
+    n < psi_7  = 341,550,071,728,321 (= psi_8)        7 bases (2..17)
+    n < psi_9  = 3,825,123,056,546,413,051 (= psi_11) 9 bases (2..23)
+    n < psi_12 = 318,665,857,834,031,151,167,461      12 bases (2..37)
+    n < psi_13 = 3,317,044,064,679,887,385,961,981    13 bases (2..41)
+
+From psi_13 on, all 13 bases give a strong probable prime only, and psi_13
+itself passes them.
 
 `factor` takes ints without going through `Fraction`.
 """
@@ -124,29 +141,38 @@ _TRIAL_BLOCKS = tuple((tuple(block), math.prod(block))
 # trial-prime factor is prime; that first prime is the first such integer.
 _PRIME_BELOW = next(n for n in itertools.count(_TRIAL_LIMIT) if math.gcd(n, _TRIAL_PRODUCT) == 1) ** 2
 
-# Deterministic Miller-Rabin witness set; proven sufficient for n < 3.317e24
-# (Sorenson-Webster), far past anything this package factors.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, the first k bases): those bases are proven below psi_k (module docstring)
+_MR_TIERS = tuple((psi, _MR_BASES[:k]) for psi, k in (
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+))
 
 
 def is_probable_prime(n: int) -> bool:
-    """Exact below 10007^2 by the trial primes; deterministic Miller-Rabin for
-    n < 3.3e24; strong-probable beyond."""
+    """Exact below 10007^2 by the trial primes; above that, Miller-Rabin on the
+    first k prime bases, k the least with n < psi_k (4 bases below psi_4 =
+    3,215,031,751, then 5, 6, 7, 9, 12 and 13), which is deterministic below
+    psi_13 ~ 3.3e24 (OEIS A014233, Sorenson-Webster 2017); strong-probable
+    to the 13 bases 2..41 beyond."""
     if n <= _TRIAL_PRIMES[-1]:
         return n in _TRIAL_PRIME_SET
     if n < _PRIME_BELOW:
         return math.gcd(n, _TRIAL_PRODUCT) == 1
-    for p in _MR_BASES:
-        if n % p == 0:
-            return False
+    for psi, bases in _MR_TIERS:
+        if n < psi:
+            break  # past the last tier, `bases` keeps all 13
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in bases:  # a base dividing n leaves x = 0, which rejects
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
             x = x * x % n

@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -138,8 +139,32 @@ class Options:
 # -- output -------------------------------------------------------------------
 
 
-def json_line(obj) -> str:
-    return json.dumps(obj)  # separators ", " and ": ", the defaults, so the shared encoder serves
+def _line_encoder():
+    """`json.dumps` as one C encoder built once: `dumps` builds a new one per call.
+
+    Same settings as `json.dumps` with its defaults; the markers dict makes
+    circular input raise ValueError.  Falls back to `json.dumps` when the C
+    accelerator is missing.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.dumps
+    enc = json.JSONEncoder()
+    markers: dict = {}
+    encode = make(markers, enc.default, json.encoder.encode_basestring_ascii, None,
+                  enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
+
+    def json_line(obj) -> str:
+        try:
+            return "".join(encode(obj, 0))
+        except BaseException:
+            markers.clear()  # a failed call leaves the markers of the containers it was inside
+            raise
+
+    return json_line
+
+
+json_line = _line_encoder()
 
 
 _JOINERS = {"s": ",", "flags": "+"}
@@ -612,9 +637,17 @@ def main(argv=None) -> int:
         strict = args.strict_field is not None and opt.get("strict", False)
         objs, columns, rows = args.fn(args, opt)
         emit(objs, columns, opt.get("format", "json"), rows)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
         return 1 if strict and not objs[0][args.strict_field] else 0
     except (CliError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left; the interpreter's final flush must not meet the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before the command finished", file=sys.stderr)
         return 2
 
 

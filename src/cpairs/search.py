@@ -48,6 +48,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .arith import (
     PrimeFactorization,
     SIntegerContext,
+    _factor_positive,
     decompose_coprime_square_cube,
     decompose_square_cube,
     enumerate_m_full,
@@ -207,10 +208,10 @@ def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, s
     if t == 0:
         return PointRecord(x=x, shifted=None, verdict="accept", target=target,
                            lift=(Fraction(0), Fraction(1)), flags=("in_support",))
-    fz = factor(t)
-    witness = next((p for p, e in fz.factors if p not in ctx.primes and split(e) is None), None)
-    if den:  # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
-        fz = PrimeFactorization(sign=fz.sign, factors=tuple(sorted(fz.factors + den)))
+    num = _factor_positive(abs(t))
+    witness = next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
+    # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
+    fz = PrimeFactorization(sign=1 if t > 0 else -1, factors=tuple(sorted(num + den)) if den else num)
     if witness is not None:
         # rejects dominate a sweep, so they stay cheap: no lift, no raise
         return PointRecord(x=x, shifted=fz, verdict="reject", target=target, witness_prime=witness)

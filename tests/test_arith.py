@@ -96,6 +96,34 @@ def test_primality_across_the_table_boundaries():
     assert [n for n in ns if is_probable_prime(n)] == [n for n in ns if sympy.isprime(n)]
 
 
+# psi_k (OEIS A014233): the least strong pseudoprime to all of the first k prime bases
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747, 6: 3474749660383,
+       7: 341550071728321, 8: 341550071728321, 9: 3825123056546413051,
+       10: 3825123056546413051, 11: 3825123056546413051, 12: 318665857834031151167461,
+       13: 3317044064679887385961981}
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_strong_pseudoprimes_to_the_first_bases_are_composite(k):
+    assert not is_probable_prime(PSI[k])
+
+
+def test_psi_12_factors_into_two_primes():
+    # the 12 bases 2..37 pass psi_12, so it needs the 13th base, 41
+    assert factor(PSI[12]) == PrimeFactorization(1, ((399165290221, 1), (798330580441, 1)))
+
+
+def test_psi_13_passes_all_13_bases():
+    # not proven past psi_13: it is still taken for a prime, a fixture for a stronger test
+    assert is_probable_prime(PSI[13]) and not sympy.isprime(PSI[13])
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 9, 12, 13])
+def test_primality_either_side_of_each_bases_tier(k):
+    ns = [PSI[k] + d for d in range(-300, 301) if d]
+    assert [n for n in ns if is_probable_prime(n)] == [n for n in ns if sympy.isprime(n)]
+
+
 @given(st.integers(min_value=1, max_value=2**64))
 def test_factor_integers_match_sympy(n):
     assert dict(factor(n).factors) == sympy_valuations(Fraction(n))

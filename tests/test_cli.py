@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cpairs.cli import COMMANDS, MAX_SCAN, json_line, main
 
@@ -22,6 +26,41 @@ def assert_json_roundtrip(stdout: str):
     """Canonical JSON: parse then re-emit is byte-identical."""
     for line in stdout.splitlines():
         assert json_line(json.loads(line)) == line
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_json_line_matches_json_dumps(obj):
+    assert json_line(obj) == json.dumps(obj)
+
+
+def test_json_line_refuses_circular_input():
+    loop = []
+    loop.append([loop])
+    with pytest.raises(ValueError):
+        json_line(loop)
+    # once the cycle is cut, the same lists encode: the failed call left no markers behind
+    loop[0].clear()
+    assert json_line(loop) == "[[]]"
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    # about 4,400 rows, far past a pipe's buffer, so the writer meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    with subprocess.Popen([sys.executable, "-m", "cpairs.cli", "search", "2full", "--s", "2,3,5",
+                           "--bound", "6"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["x"] == "-1"
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == ["error: output closed before the command finished"]
 
 
 def test_factor(capsys):
