@@ -185,16 +185,18 @@ def flat(obj: dict) -> dict:
     return cells
 
 
-def emit(objs: Iterable[dict], columns: list[str], fmt: str, rows: Iterable[dict] | None = None) -> None:
+def emit(objs: Iterable, columns: list[str], fmt: str, rows: Iterable[dict] | None = None) -> None:
     """Write JSON objects one per line, or csv/table rows of `flat(obj)` cells.
 
-    `rows`, when given, replaces the flattened cells.  json and csv read their
-    input once, so it may be a generator; table reads all rows to size its columns.
+    An item of `objs` that is a `str` is taken as its JSON line already
+    formatted.  `rows`, when given, replaces the flattened cells.  json and
+    csv read their input once, so it may be a generator; table reads all rows
+    to size its columns.
     """
     out = sys.stdout
     if fmt == "json":
         for obj in objs:
-            out.write(json_line(obj) + "\n")
+            out.write((obj if isinstance(obj, str) else json_line(obj)) + "\n")
         return
     rows = map(flat, objs) if rows is None else rows
     if fmt == "csv":
@@ -503,9 +505,11 @@ def cmd_search(args, opt: Options):
     _check_scan(signs * (2 * cfg.exponent_bound + 1) ** len(cfg.s_primes), "search")
     fn = {"2full": search_mod.search_shifted_units_2full,
           "2or3": search_mod.search_shifted_units_2or3}[args.kind]
-    objs = (r.to_json_obj() for r in fn(cfg))  # streamed: one JSON object alive at a time
-    return objs, ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], \
-        map(_search_cells, objs)
+    records = fn(cfg)
+    # emit reads only one of the two generators: json lines come straight from the integers
+    return (r.json_line() for r in records), \
+        ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], \
+        (_search_cells(r.to_json_obj()) for r in records)
 
 
 def cmd_p1_enumerate(args, opt: Options):
@@ -513,9 +517,9 @@ def cmd_p1_enumerate(args, opt: Options):
     spec = conditions.parse_pair_spec(args.pair)
     divisors = [(search_mod.parse_projective_point(lbl), cond) for lbl, cond in spec.divisors]
     s_primes, height = opt.get("s", ()), opt.get("height")
-    _check_scan(search_mod.p1_scan_count(divisors, s_primes, height), "p1 enumerate")
+    _check_scan(search_mod.p1_scan_count(divisors, s_primes, height, spec), "p1 enumerate")
     records = search_mod.enumerate_campana_points_p1(
-        divisors, s_primes, height, include_support_points=not args.no_support)
+        divisors, s_primes, height, include_support_points=not args.no_support, spec=spec)
     return [r.to_json_obj() for r in records], ["point", "height", "verdict", "flags"], None
 
 

@@ -16,11 +16,17 @@ exponent between the square and the cube:
 * `search_shifted_units_2or3` uses `split_coprime` (every valuation outside S
   lies in 2Z or 3Z) and lifts to a coprime point of the quotient model Y.
 
-Every accepted record is re-verified on the spot (product identity, unit
-condition, coprimality for Y); a failure there is a hard internal error, not
-a rejection.  Candidates are sorted on the integer key (u, v, sign), which is
-(|numerator|, denominator, sign) with sign ascending, so -x precedes x, and
-scanned serially.
+Records stay integers from the candidate to the output line: a
+`PointRecord` holds x = num / den and the shift's (sign, factors), so a
+reject builds no `Fraction` and no `PrimeFactorization` (they are built only
+when `x` or `shifted` is read), and `PointRecord.json_line` formats its
+canonical JSON line from those integers.  Every accepted record is still
+re-verified on the spot (its validated shift multiplies out to x - 1, and
+the lift passes the product identity, the unit condition and coprimality for
+Y); a failure there is a hard internal error, not a rejection.  Candidates
+are sorted on the integer key (u, v, sign), which is (|numerator|,
+denominator, sign) with sign ascending, so -x precedes x, and scanned
+serially.
 
 Line points (p : q) of a pair on P^1 come from one of two candidate
 generators, chosen by the pair itself.  A divisor (a : b) is sparse when it is
@@ -43,7 +49,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import (
     PrimeFactorization,
@@ -96,28 +102,41 @@ class SearchConfig:
         return SIntegerContext(self.s_primes)
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One sweep candidate: the unit x, the shift x - 1, verdict and witnesses.
+class PointRecord(NamedTuple):
+    """One sweep candidate as integers: x = num / den, its shift, verdict and witnesses.
 
-    `shifted` is None exactly for x = 1 (the shift 0 has no factorization);
-    `lift` is present on accepts, `witness_prime` on rejects.
+    `shift` is (sign, factors) of x - 1 in `PrimeFactorization` form, None
+    exactly for x = 1 (the shift 0 has no factorization); `lift` is present
+    on accepts, `witness_prime` on rejects.  The `Fraction` x and the
+    validated `shifted` factorization are built only when read, so a reject
+    costs one tuple; `json_line` formats the canonical JSON line straight
+    from the integers.
     """
 
-    x: Fraction
-    shifted: "PrimeFactorization | None"
+    num: int
+    den: int
+    shift: "tuple[int, tuple[tuple[int, int], ...]] | None"
     verdict: str  # "accept" | "reject"
     target: str  # "X" | "Y"
     witness_prime: "int | None" = None
     lift: "tuple[Fraction, Fraction] | None" = None
     flags: tuple[str, ...] = ()
 
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def shifted(self) -> "PrimeFactorization | None":
+        return None if self.shift is None else PrimeFactorization(*self.shift)
+
     def sort_key(self):
-        return (abs(self.x.numerator), self.x.denominator, 1 if self.x > 0 else -1)
+        return (abs(self.num), self.den, 1 if self.num > 0 else -1)
 
     def to_json_obj(self) -> dict:
+        shifted = self.shifted
         obj: dict = {"x": format_rational(self.x)}
-        obj["shift"] = None if self.shifted is None else self.shifted.to_json_obj()
+        obj["shift"] = None if shifted is None else shifted.to_json_obj()
         obj["verdict"] = self.verdict
         if self.witness_prime is not None:
             obj["witness"] = self.witness_prime
@@ -127,12 +146,37 @@ class PointRecord:
         obj["flags"] = list(self.flags)
         return obj
 
+    def json_line(self) -> str:
+        """`cli.json_line(self.to_json_obj())`, formatted from the integers.
+
+        Every value is digits, "-", "/" or a fixed word, so nothing needs escaping.
+        """
+        num, den, shift, verdict, target, witness, lift, flags = self
+        x = f"{num}/{den}" if den != 1 else str(num)
+        if shift is None:
+            shift = "null"
+        else:
+            factors = ", ".join([f"[{p}, {e}]" for p, e in shift[1]])
+            shift = f'{{"sign": {shift[0]}, "factors": [{factors}]}}'
+        extra = "" if witness is None else f', "witness": {witness}'
+        if lift is not None:
+            extra += f', "lift": ["{format_rational(lift[0])}", "{format_rational(lift[1])}"]'
+        flags = ", ".join([f'"{f}"' for f in flags])
+        return (f'{{"x": "{x}", "shift": {shift}, "verdict": "{verdict}"{extra}, '
+                f'"target": "{target}", "flags": [{flags}]}}')
+
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "PointRecord":
+        x = parse_rational(obj["x"])
+        shift = obj.get("shift")
+        if shift is not None:
+            shifted = PrimeFactorization.from_json_obj(shift)
+            shift = (shifted.sign, shifted.factors)
         lift = obj.get("lift")
         return cls(
-            x=parse_rational(obj["x"]),
-            shifted=None if obj.get("shift") is None else PrimeFactorization.from_json_obj(obj["shift"]),
+            num=x.numerator,
+            den=x.denominator,
+            shift=shift,
             verdict=obj["verdict"],
             target=obj["target"],
             witness_prime=obj.get("witness"),
@@ -203,21 +247,22 @@ def _candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, tuple[tuple[
 
 def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, split,
             decompose) -> PointRecord:
-    x = Fraction(sign * u, v)
     t = sign * u - v
     if t == 0:
-        return PointRecord(x=x, shifted=None, verdict="accept", target=target,
-                           lift=(Fraction(0), Fraction(1)), flags=("in_support",))
+        return PointRecord(1, 1, None, "accept", target, None, (Fraction(0), Fraction(1)), ("in_support",))
     num = _factor_positive(abs(t))
     witness = next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
     # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
-    fz = PrimeFactorization(sign=1 if t > 0 else -1, factors=tuple(sorted(num + den)) if den else num)
+    shift = (1 if t > 0 else -1, tuple(sorted(num + den)) if den else num)
     if witness is not None:
-        # rejects dominate a sweep, so they stay cheap: no lift, no raise
-        return PointRecord(x=x, shifted=fz, verdict="reject", target=target, witness_prime=witness)
+        # rejects dominate a sweep, so they stay integers: no Fraction, no lift, no raise
+        return PointRecord(sign * u, v, shift, "reject", target, witness)
+    x = Fraction(sign * u, v)
+    if PrimeFactorization(*shift).value() != x - 1:
+        raise AssertionError(f"shift factorization of x = {x} does not multiply out to x - 1")
     a, b = decompose(1 - x, ctx)
     _assert_lift(x, a, b, ctx, want_coprime=target == "Y")
-    return PointRecord(x=x, shifted=fz, verdict="accept", target=target, lift=(a, b))
+    return PointRecord(sign * u, v, shift, "accept", target, None, (a, b))
 
 
 def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, want_coprime: bool) -> None:
@@ -320,8 +365,13 @@ def point_valuation_vector(
     return vec
 
 
-def _p1_setup(divisors, s_primes, height: int) -> tuple[SIntegerContext, CPairSpec]:
-    """Validate a line pair and its height bound; return its context and spec."""
+def _p1_setup(divisors, s_primes, height: int,
+              spec: "CPairSpec | None" = None) -> tuple[SIntegerContext, CPairSpec]:
+    """Validate a line pair and its height bound; return its context and spec.
+
+    A given spec is reused when it labels the divisors by their canonical
+    point strings, so a caller that parsed the pair builds its unions once.
+    """
     if height < 1:
         raise ValueError("height bound must be >= 1")
     seen = set()
@@ -331,8 +381,10 @@ def _p1_setup(divisors, s_primes, height: int) -> tuple[SIntegerContext, CPairSp
         if (a, b) in seen:
             raise ValueError(f"repeated divisor point {format_projective_point((a, b))}")
         seen.add((a, b))
-    ctx = SIntegerContext(s_primes)
-    return ctx, CPairSpec([(format_projective_point(pt), cond) for pt, cond in divisors])
+    labelled = tuple((format_projective_point(pt), cond) for pt, cond in divisors)
+    if spec is None or spec.divisors != labelled:
+        spec = CPairSpec(labelled)
+    return SIntegerContext(s_primes), spec
 
 
 def _values_bound(divisor, union, ctx: SIntegerContext, height: int) -> int:
@@ -365,13 +417,14 @@ def _sieve_divisors(divisors, spec: CPairSpec, ctx: SIntegerContext, height: int
 
 
 def p1_scan_count(divisors: Sequence[tuple[tuple[int, int], object]], s_primes: Iterable[int],
-                  height: int) -> int:
+                  height: int, spec: "CPairSpec | None" = None) -> int:
     """A bound on the candidates `enumerate_campana_points_p1` examines, computed without building any.
 
     The sieve's bound is the product of its two value-list bounds; the box
-    examines 1 + (2 * height + 1) * height pairs.
+    examines 1 + (2 * height + 1) * height pairs.  `spec`, as in
+    `enumerate_campana_points_p1`, saves rebuilding the pair.
     """
-    ctx, spec = _p1_setup(divisors, s_primes, height)
+    ctx, spec = _p1_setup(divisors, s_primes, height, spec)
     pair = _sieve_divisors(divisors, spec, ctx, height)
     return pair[0][0] * pair[1][0] if pair else 1 + (2 * height + 1) * height
 
@@ -470,15 +523,17 @@ def enumerate_campana_points_p1(
     s_primes: Iterable[int],
     height: int,
     include_support_points: bool = True,
+    spec: "CPairSpec | None" = None,
 ) -> list[P1PointRecord]:
     """Accepted points of the line pair up to height, sorted by (height, q, p).
 
     Divisor points must be primitive pairs in canonical form and pairwise
     distinct (a repeated divisor point is rejected as malformed input).
     Points run over primitive pairs (p : q) with max(|p|, q) <= height,
-    q >= 0, and p = 1 when q = 0.
+    q >= 0, and p = 1 when q = 0.  `spec`, the pair already parsed with the
+    divisors' point strings as labels, is used instead of building it again.
     """
-    ctx, spec = _p1_setup(divisors, s_primes, height)
+    ctx, spec = _p1_setup(divisors, s_primes, height, spec)
     checks = [(a, b, union, isinstance(cond, LogCondition))
               for ((a, b), cond), union in zip(divisors, spec.unions)]
     pair = _sieve_divisors(divisors, spec, ctx, height)

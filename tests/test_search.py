@@ -1,6 +1,9 @@
 """Shifted-unit sweeps, lifts, and bounded-height line points."""
 
+import csv
 import hashlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -8,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpairs.arith import SIntegerContext
-from cpairs.cli import json_line, main
-from cpairs.conditions import AtLeast, DivisibleBy, LOG, parse_condition
+from cpairs.cli import _search_cells, emit, json_line, main
+from cpairs import conditions
+from cpairs.conditions import AtLeast, DivisibleBy, LOG, parse_condition, parse_pair_spec
 from cpairs.search import (
     PointRecord,
     SearchConfig,
     enumerate_campana_points_p1,
+    p1_scan_count,
     parse_projective_point,
     format_projective_point,
     search_shifted_units_2full,
@@ -146,6 +151,62 @@ def test_point_record_json_roundtrip():
         assert PointRecord.from_json_obj(r.to_json_obj()) == r
 
 
+SWEEPS = {"2full": search_shifted_units_2full, "2or3": search_shifted_units_2or3}
+
+
+def _assert_record_routes_agree(records):
+    """The integer line writer against the Fraction/factorization reference, record by record."""
+    assert records
+    for r in records:
+        assert r.json_line() == json_line(r.to_json_obj())
+        assert (r.shift is None) == (r.x == 1)
+        if r.x != 1:
+            assert r.shifted.value() == r.x - 1
+        assert PointRecord.from_json_obj(r.to_json_obj()) == r
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEPS))
+@pytest.mark.parametrize("primes,bound", [((2, 3, 5), 6), ((2, 3, 5, 7), 3)])
+def test_json_line_matches_reference(kind, primes, bound):
+    _assert_record_routes_agree(SWEEPS[kind](SearchConfig(s_primes=primes, exponent_bound=bound)))
+
+
+@st.composite
+def _small_sweeps(draw):
+    bound = draw(st.integers(0, 3))
+    # (2 * bound + 1) ** |S| exponent vectors, at most 7 ** 4 = 2,401
+    size = {0: 6, 1: 6, 2: 4, 3: 4}[bound]
+    primes = draw(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=size))
+    return SearchConfig(s_primes=primes, exponent_bound=bound,
+                        include_negative_units=draw(st.booleans()),
+                        include_support_points=draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_small_sweeps(), kind=st.sampled_from(sorted(SWEEPS)))
+def test_json_line_matches_reference_over_small_sweeps(cfg, kind):
+    records = SWEEPS[kind](cfg)
+    if records:
+        _assert_record_routes_agree(records)
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEPS))
+def test_csv_and_table_agree_with_json_lines(kind, capsys):
+    argv = ["search", kind, "--s", "2,3,5", "--bound", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *body = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(body) == len(lines) == 2 * 9**3
+    cells = [_search_cells(json.loads(line)) for line in lines]
+    for row, want in zip(body, cells):
+        assert row == [str(want.get(c, "")) for c in header]
+    assert main(argv + ["--format", "table"]) == 0
+    table = capsys.readouterr().out
+    emit([], header, "table", rows=cells)
+    assert table == capsys.readouterr().out
+
+
 # -- membership checks ------------------------------------------------------------
 
 
@@ -225,6 +286,23 @@ def test_p1_log_divisor():
     pts = {(r.p, r.q) for r in recs}
     assert (0, 1) not in pts  # contained in a log divisor
     assert all(p in (1, -1) for p, q in pts)  # v_p(numerator) must vanish
+
+
+def test_p1_reuses_a_parsed_spec(monkeypatch):
+    spec = parse_pair_spec("0: >=2; 1: >=2; inf: >=2")
+    relabelled = parse_pair_spec("0: >=2; 2/2: >=2; inf: >=2")
+    divisors = [(parse_projective_point(lbl), cond) for lbl, cond in spec.divisors]
+    want = enumerate_campana_points_p1(divisors, (), 30)
+    builds = []
+    build = conditions.condition_element_union
+    monkeypatch.setattr(conditions, "condition_element_union", lambda c: builds.append(c) or build(c))
+    assert p1_scan_count(divisors, (), 30, spec) == p1_scan_count(divisors, (), 30)
+    assert len(builds) == 3  # the call without a spec builds the pair again
+    assert enumerate_campana_points_p1(divisors, (), 30, spec=spec) == want
+    assert len(builds) == 3
+    # a spec whose labels are not the canonical point strings is rebuilt, with the same points
+    assert enumerate_campana_points_p1(divisors, (), 30, spec=relabelled) == want
+    assert len(builds) == 6
 
 
 def test_p1_input_validation():
