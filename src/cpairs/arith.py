@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -398,8 +399,8 @@ def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 0 or k < 1:
         raise ValueError("bad _iroot arguments")
-    if n in (0, 1):
-        return n
+    if n.bit_length() <= k:  # n < 2^k, so the root is 0 or 1; no 2^(k-1) from Newton
+        return min(n, 1)
     if k == 2:
         return math.isqrt(n)
     # integer Newton from above: starts at a power of two >= the root and
@@ -415,9 +416,12 @@ def _iroot(n: int, k: int) -> int:
 def enumerate_m_full(bound: int, m: int) -> list[int]:
     """All m-full positive integers <= bound, ascending.
 
-    Product sieve: walks canonical factorizations whose exponents are all
-    >= m (each value is produced exactly once), instead of factoring every
-    integer up to the bound.
+    Each is a^m * r in exactly one way, with r a product of distinct primes to
+    exponents m+1..2m-1 (r = b^3, b squarefree, for m = 2): a prime's exponent
+    in r is the one of 0, m+1..2m-1 congruent to its exponent e in n mod m, so
+    an e that m divides puts nothing in r, and any other e >= m puts
+    m + (e mod m) in r and floor(e/m) - 1 in a.  The few r up to the bound are
+    walked over the primes up to bound^(1/(m+1)); each takes every a^m <= bound/r.
     """
     if m < 1:
         raise ValueError(f"fullness degree must be >= 1, got {m}")
@@ -425,21 +429,24 @@ def enumerate_m_full(bound: int, m: int) -> list[int]:
         return []
     if m == 1:
         return list(range(1, bound + 1))
-    primes = _sieve(_iroot(bound, m))
-    out: list[int] = []
-
-    def walk(start: int, acc: int) -> None:
-        out.append(acc)
+    primes = _sieve(_iroot(bound, m + 1))
+    cores, stack = [], [(0, 1)]
+    while stack:
+        start, r = stack.pop()
+        cores.append(r)
         for i in range(start, len(primes)):
-            nxt = acc * primes[i] ** m
-            if nxt > bound:
+            x = r * primes[i] ** (m + 1)
+            if x > bound:
                 break
-            while nxt <= bound:
-                walk(i + 1, nxt)
-                nxt *= primes[i]
-
-    walk(0, 1)
-    return sorted(out)
+            for _ in range(m - 1):  # exponents m+1..2m-1
+                stack.append((i + 1, x))
+                x *= primes[i]
+                if x > bound:
+                    break
+    powers = [a**m for a in range(1, _iroot(bound, m) + 1)]
+    out = [r * x for r in cores for x in powers[: bisect_right(powers, bound // r)]]
+    out.sort()
+    return out
 
 
 def m_full_count_bound(bound: int, m: int) -> int:

@@ -462,10 +462,11 @@ def _accepted_values(divisor, union, ctx: SIntegerContext, height: int) -> list[
     return sorted(values)
 
 
-def _t_range(c: int, lo: int, hi: int) -> tuple:
-    """(first, last) of the integers t with lo <= c * t <= hi."""
+def _t_range(c: int, lo: int, hi: int, limit: int) -> tuple[int, int]:
+    """(first, last) of the integers t with lo <= c * t <= hi, where c = 0 and
+    lo <= 0 <= hi give (-limit, limit), the range of every t looked up."""
     if c == 0:
-        return (-math.inf, math.inf) if lo <= 0 <= hi else (1, 0)
+        return (-limit, limit) if lo <= 0 <= hi else (1, 0)
     if c < 0:
         c, lo, hi = -c, -hi, -lo
     return -(-lo // c), hi // c
@@ -479,10 +480,11 @@ def _sieve_candidates(pt1, pt2, values1: list[int], values2: list[int],
     det = a1 * b2 - a2 * b1  # nonzero: the divisor points are distinct and primitive
     q_lo, q_hi = sorted((0, height * det))
     p_hi = height * abs(det)
+    t2_hi = height * (abs(a2) + abs(b2))  # |t2| = |p * b2 - q * a2| at any point up to the height
     for t1 in values1:
         # q * det = b1 * t2 - b2 * t1 with 0 <= q <= height; p * det = a1 * t2 - a2 * t1 with |p| <= height
-        lo1, hi1 = _t_range(b1, b2 * t1 + q_lo, b2 * t1 + q_hi)
-        lo2, hi2 = _t_range(a1, a2 * t1 - p_hi, a2 * t1 + p_hi)
+        lo1, hi1 = _t_range(b1, b2 * t1 + q_lo, b2 * t1 + q_hi, t2_hi)
+        lo2, hi2 = _t_range(a1, a2 * t1 - p_hi, a2 * t1 + p_hi, t2_hi)
         for t2 in values2[bisect_left(values2, max(lo1, lo2)):bisect_right(values2, min(hi1, hi2))]:
             p, rp = divmod(a1 * t2 - a2 * t1, det)
             q, rq = divmod(b1 * t2 - b2 * t1, det)

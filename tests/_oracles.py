@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: factorization
-goes through sympy (or a smallest-prime-factor sieve), semigroup membership
-through breadth-first closure, and search verdicts through a direct double
-loop over sign and exponent vectors.
+goes through sympy (or a smallest-prime-factor sieve), m-full numbers through
+a walk over their factorizations, semigroup membership through breadth-first
+closure, and search verdicts through a direct double loop over sign and
+exponent vectors.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ import itertools
 import sympy
 
 
-# -- m-full numbers by factorization filter ------------------------------------
+# -- m-full numbers by factorization filter and by walk ------------------------
 
 
 def spf_sieve(limit: int) -> list[int]:
@@ -47,6 +48,30 @@ def mfull_by_filter(bound: int, m: int) -> list[int]:
         if ok:
             out.append(n)
     return out
+
+
+def mfull_by_walk(bound: int, m: int) -> list[int]:
+    """Walk every factorization whose exponents are all >= m, one call per value.
+
+    The reference for `enumerate_m_full`, which lists the same numbers as a^m * r.
+    """
+    if bound < 1:
+        return []
+    primes = list(sympy.primerange(2, sympy.integer_nthroot(bound, m)[0] + 1))
+    out: list[int] = []
+
+    def walk(start: int, acc: int) -> None:
+        out.append(acc)
+        for i in range(start, len(primes)):
+            nxt = acc * primes[i] ** m
+            if nxt > bound:
+                break
+            while nxt <= bound:
+                walk(i + 1, nxt)
+                nxt *= primes[i]
+
+    walk(0, 1)
+    return sorted(out)
 
 
 # -- rational valuations via sympy ----------------------------------------------

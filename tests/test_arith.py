@@ -1,6 +1,8 @@
 """Factorization, valuations, m-full numbers, and square-cube decompositions."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -31,7 +33,7 @@ from cpairs.arith import (
 )
 from cpairs.arith import _iroot
 
-from _oracles import mfull_by_filter, sympy_valuations
+from _oracles import mfull_by_filter, mfull_by_walk, sympy_valuations
 
 Z = SIntegerContext()
 S2 = SIntegerContext([2])
@@ -197,6 +199,28 @@ def test_enumerate_matches_filter_oracle(m):
     assert enumerate_m_full(2000, m) == mfull_by_filter(2000, m)
 
 
+@given(st.integers(min_value=0, max_value=10**5), st.integers(min_value=1, max_value=8))
+def test_enumerate_matches_walk_oracle(bound, m):
+    assert enumerate_m_full(bound, m) == mfull_by_walk(bound, m)
+
+
+@pytest.mark.parametrize("bound,m,count", [(10**7, 2, 6553), (10**7, 3, 713), (10**9, 2, 67231)])
+def test_enumerate_m_full_counts(bound, m, count):
+    values = enumerate_m_full(bound, m)
+    assert len(values) == count and values == mfull_by_walk(bound, m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 64])
+def test_iroot_below_two_to_the_k(k):
+    assert _iroot(2**k - 1, k) == 1
+    assert _iroot(2**k, k) == 2
+
+
+def test_iroot_of_huge_degree_is_immediate():
+    assert _iroot(10, 10**14) == 1
+    assert _iroot(10**400, 10**14) == 1
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_iroot_exact_beyond_float_range(k):
     assert _iroot(10**400, 2) == 10**200
@@ -306,3 +330,23 @@ def test_rational_string_roundtrip(x):
 def test_factorization_json_roundtrip(x):
     fz = factor(x)
     assert PrimeFactorization.from_json_obj(fz.to_json_obj()) == fz
+
+
+def _float_uses(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif (isinstance(node, ast.Attribute) and node.attr in ("inf", "nan")
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "float("
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "/"
+
+
+def test_no_float_in_the_package():
+    src = Path(__file__).resolve().parent.parent / "src" / "cpairs"
+    found = [f"{path.name}:{line} {what}" for path in sorted(src.glob("*.py"))
+             for line, what in _float_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

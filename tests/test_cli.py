@@ -92,6 +92,8 @@ def test_mfull_list(capsys):
     assert_json_roundtrip(out)
     code, out, _ = run(capsys, "mfull", "list", "100", "--m", str(10**5))  # only 1 is m-full below 2^m
     assert code == 0 and jlines(out)[0]["values"] == [1]
+    code, out, _ = run(capsys, "mfull", "list", "10", "--m", str(10**14))  # with no 2^(m-1) on the way
+    assert code == 0 and jlines(out)[0]["values"] == [1]
 
 
 def test_semigroup_commands(capsys):
