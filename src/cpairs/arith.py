@@ -274,12 +274,6 @@ class PrimeFactorization:
             v *= Fraction(p) ** e
         return v
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def to_json_obj(self) -> dict:
         return {"sign": self.sign, "factors": [[p, e] for p, e in self.factors]}
 

@@ -32,7 +32,7 @@ from typing import Iterable
 
 from . import arith, conditions, geometry, search as search_mod
 from .arith import SIntegerContext, format_rational, parse_rational
-from .semigroups import format_semigroup, format_union, parse_semigroup, parse_union
+from .semigroups import MAX_APERY, format_semigroup, format_union, parse_semigroup, parse_union
 
 
 class CliError(Exception):
@@ -77,10 +77,6 @@ def _conv_format(raw: str, where: str) -> str:
 # config key -> converter of its raw text; a flag given as text goes through it too
 CONFIG_KEYS = {"s": _conv_ints, "bound": _conv_int, "height": _conv_int, "format": _conv_format,
                "strict": _conv_bool, "m": _conv_int}
-
-# The most integers one command may scan or list; a larger request exits 2
-# before anything is allocated.
-MAX_SCAN = 10**7
 
 REQUIRED = object()
 
@@ -139,34 +135,6 @@ class Options:
 # -- output -------------------------------------------------------------------
 
 
-def _line_encoder():
-    """`json.dumps` as one C encoder built once: `dumps` builds a new one per call.
-
-    Same settings as `json.dumps` with its defaults; the markers dict makes
-    circular input raise ValueError.  Falls back to `json.dumps` when the C
-    accelerator is missing.
-    """
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return json.dumps
-    enc = json.JSONEncoder()
-    markers: dict = {}
-    encode = make(markers, enc.default, json.encoder.encode_basestring_ascii, None,
-                  enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
-
-    def json_line(obj) -> str:
-        try:
-            return "".join(encode(obj, 0))
-        except BaseException:
-            markers.clear()  # a failed call leaves the markers of the containers it was inside
-            raise
-
-    return json_line
-
-
-json_line = _line_encoder()
-
-
 _JOINERS = {"s": ",", "flags": "+"}
 
 
@@ -196,7 +164,7 @@ def emit(objs: Iterable, columns: list[str], fmt: str, rows: Iterable[dict] | No
     out = sys.stdout
     if fmt == "json":
         for obj in objs:
-            out.write((obj if isinstance(obj, str) else json_line(obj)) + "\n")
+            out.write((obj if isinstance(obj, str) else json.dumps(obj)) + "\n")
         return
     rows = map(flat, objs) if rows is None else rows
     if fmt == "csv":
@@ -238,8 +206,9 @@ def _load_json_arg(value: str, what: str, parse):
 
 
 def _check_scan(count: int, what: str) -> None:
-    if count > MAX_SCAN:
-        raise CliError(f"{what} may scan or list up to {count} integers, over the limit of {MAX_SCAN}")
+    """Exit 2 before anything is allocated when a command may scan or list over MAX_APERY integers."""
+    if count > MAX_APERY:
+        raise CliError(f"{what} may scan or list up to {count} integers, over the limit of {MAX_APERY}")
 
 
 # -- command implementations ---------------------------------------------------
@@ -343,8 +312,9 @@ def cmd_cpair_check(args, opt: Options):
             for d in verdict.divisors
         ],
     }
-    witness = min((d["witness"] for d in obj["divisors"] if d["witness"] is not None), default="")
-    return [obj], ["pair", "checker", "accepted", "flags", "witness"], [{**flat(obj), "witness": witness}]
+    witness = verdict.witness()
+    return [obj], ["pair", "checker", "accepted", "flags", "witness"], \
+        [{**flat(obj), "witness": "" if witness is None else witness}]
 
 
 def cmd_cpair_divisor(args, opt: Options):
@@ -517,9 +487,9 @@ def cmd_p1_enumerate(args, opt: Options):
     spec = conditions.parse_pair_spec(args.pair)
     divisors = [(search_mod.parse_projective_point(lbl), cond) for lbl, cond in spec.divisors]
     s_primes, height = opt.get("s", ()), opt.get("height")
-    _check_scan(search_mod.p1_scan_count(divisors, s_primes, height, spec), "p1 enumerate")
+    _check_scan(search_mod.p1_scan_count(divisors, s_primes, height), "p1 enumerate")
     records = search_mod.enumerate_campana_points_p1(
-        divisors, s_primes, height, include_support_points=not args.no_support, spec=spec)
+        divisors, s_primes, height, include_support_points=not args.no_support)
     return [r.to_json_obj() for r in records], ["point", "height", "verdict", "flags"], None
 
 

@@ -267,17 +267,11 @@ class PointVerdict:
 
 
 def _check_divisor(label: str, cond, union: SemigroupUnion, data: DivisorValuations) -> DivisorVerdict:
-    if isinstance(cond, LogCondition):
-        if data.contained:
-            return DivisorVerdict(label, passed=False, in_support=True)
-        for p, m in data.mults:
-            if m >= 1:
-                return DivisorVerdict(label, passed=False, witness_prime=p)
-        return DivisorVerdict(label, passed=True)
     if data.contained:
         # supported convention: a point inside the divisor satisfies any finite
-        # condition, but the verdict is flagged so callers can filter it out
-        return DivisorVerdict(label, passed=True, in_support=True)
+        # condition but not LOG, and the verdict is flagged so callers can filter it out
+        return DivisorVerdict(label, passed=not isinstance(cond, LogCondition), in_support=True)
+    # LOG's union is empty, so it refuses every multiplicity here
     for p, m in data.mults:
         if not union.contains(m):
             return DivisorVerdict(label, passed=False, witness_prime=p)

@@ -147,7 +147,7 @@ class PointRecord(NamedTuple):
         return obj
 
     def json_line(self) -> str:
-        """`cli.json_line(self.to_json_obj())`, formatted from the integers.
+        """`json.dumps(self.to_json_obj())`, formatted from the integers.
 
         Every value is digits, "-", "/" or a fixed word, so nothing needs escaping.
         """
@@ -365,13 +365,8 @@ def point_valuation_vector(
     return vec
 
 
-def _p1_setup(divisors, s_primes, height: int,
-              spec: "CPairSpec | None" = None) -> tuple[SIntegerContext, CPairSpec]:
-    """Validate a line pair and its height bound; return its context and spec.
-
-    A given spec is reused when it labels the divisors by their canonical
-    point strings, so a caller that parsed the pair builds its unions once.
-    """
+def _p1_setup(divisors, s_primes, height: int) -> tuple[SIntegerContext, CPairSpec]:
+    """Validate a line pair and its height bound; return its context and spec."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
     seen = set()
@@ -382,9 +377,7 @@ def _p1_setup(divisors, s_primes, height: int,
             raise ValueError(f"repeated divisor point {format_projective_point((a, b))}")
         seen.add((a, b))
     labelled = tuple((format_projective_point(pt), cond) for pt, cond in divisors)
-    if spec is None or spec.divisors != labelled:
-        spec = CPairSpec(labelled)
-    return SIntegerContext(s_primes), spec
+    return SIntegerContext(s_primes), CPairSpec(labelled)
 
 
 def _values_bound(divisor, union, ctx: SIntegerContext, height: int) -> int:
@@ -417,14 +410,13 @@ def _sieve_divisors(divisors, spec: CPairSpec, ctx: SIntegerContext, height: int
 
 
 def p1_scan_count(divisors: Sequence[tuple[tuple[int, int], object]], s_primes: Iterable[int],
-                  height: int, spec: "CPairSpec | None" = None) -> int:
+                  height: int) -> int:
     """A bound on the candidates `enumerate_campana_points_p1` examines, computed without building any.
 
     The sieve's bound is the product of its two value-list bounds; the box
-    examines 1 + (2 * height + 1) * height pairs.  `spec`, as in
-    `enumerate_campana_points_p1`, saves rebuilding the pair.
+    examines 1 + (2 * height + 1) * height pairs.
     """
-    ctx, spec = _p1_setup(divisors, s_primes, height, spec)
+    ctx, spec = _p1_setup(divisors, s_primes, height)
     pair = _sieve_divisors(divisors, spec, ctx, height)
     return pair[0][0] * pair[1][0] if pair else 1 + (2 * height + 1) * height
 
@@ -525,17 +517,15 @@ def enumerate_campana_points_p1(
     s_primes: Iterable[int],
     height: int,
     include_support_points: bool = True,
-    spec: "CPairSpec | None" = None,
 ) -> list[P1PointRecord]:
     """Accepted points of the line pair up to height, sorted by (height, q, p).
 
     Divisor points must be primitive pairs in canonical form and pairwise
     distinct (a repeated divisor point is rejected as malformed input).
     Points run over primitive pairs (p : q) with max(|p|, q) <= height,
-    q >= 0, and p = 1 when q = 0.  `spec`, the pair already parsed with the
-    divisors' point strings as labels, is used instead of building it again.
+    q >= 0, and p = 1 when q = 0.
     """
-    ctx, spec = _p1_setup(divisors, s_primes, height, spec)
+    ctx, spec = _p1_setup(divisors, s_primes, height)
     checks = [(a, b, union, isinstance(cond, LogCondition))
               for ((a, b), cond), union in zip(divisors, spec.unions)]
     pair = _sieve_divisors(divisors, spec, ctx, height)

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-# The most Apery-set entries (a1 / gcd) a parsed block or a lower bound may ask for.
+# The most Apery-set entries (a1 / gcd) a parsed block or a lower bound may ask
+# for, and the most integers one command-line request may scan or list.
 MAX_APERY = 10**7
 
 

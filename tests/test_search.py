@@ -11,14 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpairs.arith import SIntegerContext
-from cpairs.cli import _search_cells, emit, json_line, main
-from cpairs import conditions
-from cpairs.conditions import AtLeast, DivisibleBy, LOG, parse_condition, parse_pair_spec
+from cpairs.cli import _search_cells, emit, main
+from cpairs.conditions import AtLeast, DivisibleBy, LOG, parse_condition
 from cpairs.search import (
     PointRecord,
     SearchConfig,
     enumerate_campana_points_p1,
-    p1_scan_count,
     parse_projective_point,
     format_projective_point,
     search_shifted_units_2full,
@@ -119,7 +117,7 @@ GOLDEN_SWEEPS = {
 def test_sweep_output_is_pinned(kind, primes, bound):
     fn = {"2full": search_shifted_units_2full, "2or3": search_shifted_units_2or3}[kind]
     records = fn(SearchConfig(s_primes=primes, exponent_bound=bound))
-    text = "".join(json_line(r.to_json_obj()) + "\n" for r in records)
+    text = "".join(json.dumps(r.to_json_obj()) + "\n" for r in records)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SWEEPS[kind, primes, bound]
 
 
@@ -158,7 +156,7 @@ def _assert_record_routes_agree(records):
     """The integer line writer against the Fraction/factorization reference, record by record."""
     assert records
     for r in records:
-        assert r.json_line() == json_line(r.to_json_obj())
+        assert r.json_line() == json.dumps(r.to_json_obj())
         assert (r.shift is None) == (r.x == 1)
         if r.x != 1:
             assert r.shifted.value() == r.x - 1
@@ -286,23 +284,6 @@ def test_p1_log_divisor():
     pts = {(r.p, r.q) for r in recs}
     assert (0, 1) not in pts  # contained in a log divisor
     assert all(p in (1, -1) for p, q in pts)  # v_p(numerator) must vanish
-
-
-def test_p1_reuses_a_parsed_spec(monkeypatch):
-    spec = parse_pair_spec("0: >=2; 1: >=2; inf: >=2")
-    relabelled = parse_pair_spec("0: >=2; 2/2: >=2; inf: >=2")
-    divisors = [(parse_projective_point(lbl), cond) for lbl, cond in spec.divisors]
-    want = enumerate_campana_points_p1(divisors, (), 30)
-    builds = []
-    build = conditions.condition_element_union
-    monkeypatch.setattr(conditions, "condition_element_union", lambda c: builds.append(c) or build(c))
-    assert p1_scan_count(divisors, (), 30, spec) == p1_scan_count(divisors, (), 30)
-    assert len(builds) == 3  # the call without a spec builds the pair again
-    assert enumerate_campana_points_p1(divisors, (), 30, spec=spec) == want
-    assert len(builds) == 3
-    # a spec whose labels are not the canonical point strings is rebuilt, with the same points
-    assert enumerate_campana_points_p1(divisors, (), 30, spec=relabelled) == want
-    assert len(builds) == 6
 
 
 def test_p1_input_validation():
