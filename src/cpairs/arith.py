@@ -7,7 +7,9 @@ this package runs:
 
 * trial division by the primes below 10^4, batched by gcd: one gcd against
   the product of all of them, then one per block of 64, and division only
-  inside the blocks that share a factor with n;
+  inside the blocks that share a factor with n (only by that prime when the
+  block shares just one); `factor_many` takes the first gcd for a whole list
+  at once, from a remainder tree;
 * a cofactor below 10007^2 (10007 is the first prime past the trial primes)
   with no trial-prime factor is prime outright;
 * Miller-Rabin above that, on the shortest prefix of the prime bases
@@ -27,8 +29,10 @@ pseudoprimes to twelve prime bases", Math. Comp. 2017).  The tiers:
     n < psi_12 = 318,665,857,834,031,151,167,461      12 bases (2..37)
     n < psi_13 = 3,317,044,064,679,887,385,961,981    13 bases (2..41)
 
-From psi_13 on, all 13 bases give a strong probable prime only, and psi_13
-itself passes them.
+From psi_13 on, n must also pass a strong Lucas test with Selfridge's
+parameters, which makes a Baillie-PSW test (base 2 among the 13): no
+composite is known to pass it, and psi_13 itself, which passes all 13 bases,
+fails it.
 
 `factor` takes ints without going through `Fraction`.
 """
@@ -159,8 +163,8 @@ def is_probable_prime(n: int) -> bool:
     """Exact below 10007^2 by the trial primes; above that, Miller-Rabin on the
     first k prime bases, k the least with n < psi_k (4 bases below psi_4 =
     3,215,031,751, then 5, 6, 7, 9, 12 and 13), which is deterministic below
-    psi_13 ~ 3.3e24 (OEIS A014233, Sorenson-Webster 2017); strong-probable
-    to the 13 bases 2..41 beyond."""
+    psi_13 ~ 3.3e24 (OEIS A014233, Sorenson-Webster 2017); beyond, the 13
+    bases 2..41 and a strong Lucas test, with no known counterexample."""
     if n <= _TRIAL_PRIMES[-1]:
         return n in _TRIAL_PRIME_SET
     if n < _PRIME_BELOW:
@@ -181,7 +185,54 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_TIERS[-1][0] or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test on odd n > 5 with Selfridge's parameters:
+    D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4
+    (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 1980)."""
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) == 1:
+        d = -d - 2 if d > 0 else 2 - d
+    if j == 0:
+        return n == abs(d)
+    q = (1 - d) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    u, v, qk = 0, 2, 1  # U_0, V_0, Q^0; P = 1, and halving mod odd n adds n to odd values
+    for bit in bin(k)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (d * u + v) % n
+            u, v = (u + n * (u & 1)) // 2, (v + n * (v & 1)) // 2
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int) -> int:
@@ -219,16 +270,21 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
     if n < 1:
         raise ValueError(f"_factor_positive expects n >= 1, got {n}")
+    return _factor_with(n, math.gcd(n, _TRIAL_PRODUCT))
+
+
+def _factor_with(n: int, g: int) -> tuple[tuple[int, int], ...]:
+    """`_factor_positive(n)`, given g = gcd(n, _TRIAL_PRODUCT), the product of n's distinct trial primes."""
     out: dict[int, int] = {}
-    g = math.gcd(n, _TRIAL_PRODUCT)  # the product of n's distinct trial primes
     for block, product in _TRIAL_BLOCKS:
         if g == 1:
             break
-        if math.gcd(g, product) == 1:
+        h = math.gcd(g, product)
+        if h == 1:
             continue
-        for p in block:
-            if g % p == 0:
-                g //= p
+        g //= h
+        for p in (h,) if h in _TRIAL_PRIME_SET else block:
+            if h % p == 0:
                 n //= p
                 e = 1
                 while n % p == 0:
@@ -248,6 +304,32 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
             stack.append(d)
             stack.append(m // d)
     return tuple(sorted(out.items()))
+
+
+def factor_many(ns: Iterable[int]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """{n: `_factor_positive(n)`} for distinct n >= 1, with the trial gcds taken in batches.
+
+    Each chunk of 128 values is multiplied up a product tree, and
+    _TRIAL_PRODUCT is reduced down it to its residue r mod each n, so that
+    gcd(r, n) = gcd(_TRIAL_PRODUCT, n) comes from numbers the size of n
+    (Bernstein, "How to find smooth parts of integers", 2004).  The LRU cache
+    of `_factor_positive` is neither read nor filled.
+    """
+    ns = list(ns)
+    if ns and min(ns) < 1:
+        raise ValueError(f"factor_many expects n >= 1, got {min(ns)}")
+    out = {}
+    for i in range(0, len(ns), 128):
+        tree = [ns[i : i + 128]]
+        while len(tree[-1]) > 1:
+            level = tree[-1]
+            tree.append([math.prod(level[j : j + 2]) for j in range(0, len(level), 2)])
+        residues = [_TRIAL_PRODUCT]
+        for level in reversed(tree):
+            residues = [residues[j // 2] % x for j, x in enumerate(level)]
+        for n, r in zip(tree[0], residues):
+            out[n] = _factor_with(n, math.gcd(r, n))
+    return out
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,8 @@ def _load_json_arg(value: str, what: str, parse):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"malformed {what} JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise CliError(f"malformed {what} JSON: nested too deeply") from None
     try:
         return parse(data)
     except (ValueError, KeyError, TypeError) as e:

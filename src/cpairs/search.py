@@ -4,12 +4,13 @@ Both sweeps run one procedure over the S-units x (exponent vectors bounded
 in sup-norm).  Candidates are integer triples x = sign * u / v in lowest
 terms, generated lazily from the exponent vectors, so v's factorization is
 known without factoring.  The shift is x - 1 = t / v with t = sign * u - v
-already reduced, so only t is factored, and once per orbit {x, 1/x}: both
-have the same |t|, which the factor cache holds.  The verdict comes from a
-split rule applied to each exponent at a prime outside S, and the witness of
-a rejection is the smallest prime whose exponent the rule refuses.  An
-accepted x lifts u = 1 - x to u = a^2 * b^3, the same rule splitting each
-exponent between the square and the cube:
+already reduced, so only t is factored: `factor_many` takes the distinct
+|t| in one batch before the first record (x and 1/x share their |t|).  The
+verdict comes from a split rule applied to each exponent at a prime outside
+S, and the witness of a rejection, the smallest prime whose exponent the
+rule refuses, is found once per |t| as well.  An accepted x lifts u = 1 - x
+to u = a^2 * b^3, the same rule splitting each exponent between the square
+and the cube:
 
 * `search_shifted_units_2full` uses `split_2full` (x - 1 is 2-full away from
   S) and lifts to a point of the ambient model X;
@@ -54,11 +55,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .arith import (
     PrimeFactorization,
     SIntegerContext,
-    _factor_positive,
     decompose_coprime_square_cube,
     decompose_square_cube,
     enumerate_m_full,
     factor,
+    factor_many,
     format_rational,
     is_probable_prime,
     is_s_integer,
@@ -245,15 +246,15 @@ def _candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, tuple[tuple[
             yield sign, u, v, den
 
 
-def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, split,
-            decompose) -> PointRecord:
+def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, decompose,
+            shifts: dict, witnesses: dict) -> PointRecord:
     t = sign * u - v
     if t == 0:
         return PointRecord(1, 1, None, "accept", target, None, (Fraction(0), Fraction(1)), ("in_support",))
-    num = _factor_positive(abs(t))
-    witness = next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
+    num = shifts[abs(t)]
     # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
     shift = (1 if t > 0 else -1, tuple(sorted(num + den)) if den else num)
+    witness = witnesses[abs(t)]
     if witness is not None:
         # rejects dominate a sweep, so they stay integers: no Fraction, no lift, no raise
         return PointRecord(sign * u, v, shift, "reject", target, witness)
@@ -280,7 +281,10 @@ def _run_search(cfg: SearchConfig, target: str, split, decompose) -> list[PointR
     ctx = cfg.context()
     cands = [c for c in _candidates(cfg) if cfg.include_support_points or c[:3] != (1, 1, 1)]  # (1, 1, 1): x = 1
     cands.sort(key=lambda c: (c[1], c[2], c[0]))  # (u, v, sign) orders exactly like PointRecord.sort_key
-    return [_record(*c, ctx, target, split, decompose) for c in cands]
+    shifts = factor_many({abs(sign * u - v) for sign, u, v, _ in cands} - {0})
+    witnesses = {t: next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
+                 for t, num in shifts.items()}
+    return [_record(*c, ctx, target, decompose, shifts, witnesses) for c in cands]
 
 
 def search_shifted_units_2full(cfg: SearchConfig) -> list[PointRecord]:

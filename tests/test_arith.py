@@ -1,12 +1,14 @@
 """Factorization, valuations, m-full numbers, and square-cube decompositions."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 
 from cpairs.arith import (
     INFINITY,
@@ -31,7 +33,7 @@ from cpairs.arith import (
     split_coprime,
     valuation,
 )
-from cpairs.arith import _iroot
+from cpairs.arith import _TRIAL_BLOCKS, _TRIAL_PRIMES, _factor_positive, _iroot, _strong_lucas, factor_many
 
 from _oracles import mfull_by_filter, mfull_by_walk, sympy_valuations
 
@@ -116,8 +118,23 @@ def test_psi_12_factors_into_two_primes():
 
 
 def test_psi_13_passes_all_13_bases():
-    # not proven past psi_13: it is still taken for a prime, a fixture for a stronger test
-    assert is_probable_prime(PSI[13]) and not sympy.isprime(PSI[13])
+    # the 13 bases 2..41 all pass psi_13; the strong Lucas test past psi_13 finds it composite
+    assert mr(PSI[13], [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+    assert not is_probable_prime(PSI[13])
+    assert factor(PSI[13]) == PrimeFactorization(1, ((1287836182261, 1), (2575672364521, 1)))
+
+
+@pytest.mark.parametrize("start", [PSI[13], 7 * 10**27, 2**127 - 300])
+def test_primality_above_psi_13_matches_sympy(start):
+    ns = range(start + 1, start + 601)
+    assert [n for n in ns if is_probable_prime(n)] == [n for n in ns if sympy.isprime(n)]
+
+
+def test_strong_lucas_matches_sympy():
+    # on its own, so that the composites the 13 bases already reject still exercise it;
+    # the strong Lucas pseudoprimes (5459, 5777, ...) pass both
+    odd = list(range(7, 30_000, 2)) + [PSI[13], 2**89 - 1, 2**89 + 1]
+    assert [n for n in odd if _strong_lucas(n)] == [n for n in odd if is_strong_lucas_prp(n)]
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 9, 12, 13])
@@ -129,6 +146,35 @@ def test_primality_either_side_of_each_bases_tier(k):
 @given(st.integers(min_value=1, max_value=2**64))
 def test_factor_integers_match_sympy(n):
     assert dict(factor(n).factors) == sympy_valuations(Fraction(n))
+
+
+# primes on either side of each 64-prime trial block edge, and past the trial primes
+_EDGE_PRIMES = sorted({p for block, _ in _TRIAL_BLOCKS for p in (block[0], block[-1])})
+_factor_many_terms = st.one_of(
+    st.sampled_from(_TRIAL_PRIMES), st.sampled_from(_EDGE_PRIMES),
+    st.sampled_from([10007, 10009, 10037, 1000003]),  # cofactors past 10007^2, cheap for rho
+).flatmap(lambda p: st.integers(1, 4).map(lambda e: p**e))
+_factor_many_inputs = st.lists(
+    st.lists(_factor_many_terms, max_size=4).map(math.prod), max_size=100, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_many_inputs)
+def test_factor_many_matches_factor_positive_and_sympy(ns):
+    got = factor_many(ns)  # an empty product in the strategy gives n = 1
+    assert got == {n: _factor_positive(n) for n in ns}
+    assert all(dict(got[n]) == sympy.factorint(n) for n in ns)
+
+
+def test_factor_many_across_chunks():
+    # 1 to 3000 spans 24 chunks of 128; products of the primes at each block edge span two blocks
+    ns = list(range(1, 3001)) + [p * q * 10007**2 for p, q in zip(_EDGE_PRIMES, _EDGE_PRIMES[1:])]
+    assert factor_many(ns) == {n: _factor_positive(n) for n in ns}
+
+
+def test_factor_many_refuses_nonpositive():
+    with pytest.raises(ValueError):
+        factor_many([5, 0])
 
 
 def test_valuation_fixtures():

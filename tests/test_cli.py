@@ -119,6 +119,17 @@ def test_cpair_check_malformed_point_shape_exits_2(capsys, point):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cpair", "check", "--pair", "D: >=2", "--point"),
+    ("config", "check", "--union", "<2,7>|<3>", "--configuration"),
+    ("fibre", "orbifold-base", "--fibres"),
+], ids=["point", "configuration", "fibres"])
+def test_deeply_nested_json_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "[" * 100_000)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cpair_divisor(capsys):
     code, out, _ = run(capsys, "cpair", "divisor", "--pair", "0: >=2; 1: inf; 2: >=1")
     assert jlines(out)[0]["coefficients"] == [["0", "1/2"], ["1", "1"], ["2", "0"]]

@@ -10,12 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpairs.arith import SIntegerContext
+from cpairs.arith import SIntegerContext, _factor_positive, factor_many
 from cpairs.cli import _search_cells, emit, main
-from cpairs.conditions import AtLeast, DivisibleBy, LOG, parse_condition
+from cpairs.conditions import AtLeast, DivisibleBy, LOG, condition_element_union, parse_condition
 from cpairs.search import (
     PointRecord,
     SearchConfig,
+    _accepted_values,
+    _candidates,
+    _values_bound,
     enumerate_campana_points_p1,
     parse_projective_point,
     format_projective_point,
@@ -205,6 +208,13 @@ def test_csv_and_table_agree_with_json_lines(kind, capsys):
     assert table == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("primes,bound", [((2, 3, 5), 12), ((2, 3, 5, 7), 8)])
+def test_factor_many_on_every_sweep_shift(primes, bound):
+    # the batch the sweep reads against one _factor_positive call per distinct |t|
+    ts = {abs(sign * u - v) for sign, u, v, _ in _candidates(SearchConfig(primes, bound))} - {0}
+    assert factor_many(ts) == {t: _factor_positive(t) for t in ts}
+
+
 # -- membership checks ------------------------------------------------------------
 
 
@@ -328,6 +338,28 @@ def test_p1_sieve_matches_oracle_at_height_300(oracle_divisors, s):
     divisors = [(pt, LOG if m is None else AtLeast(m)) for pt, m in oracle_divisors]
     got = {(r.p, r.q) for r in enumerate_campana_points_p1(divisors, s, 300)}
     assert got == oracle_p1_accepts(oracle_divisors, s, 300)
+
+
+SPARSE_CONDITIONS = [LOG, *map(AtLeast, (2, 3, 40)), *map(DivisibleBy, (2, 3)),
+                     parse_condition("union <2,7>|<3>"), parse_condition("union <2>|<3>")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=st.sampled_from(P1_POINTS), cond=st.sampled_from(SPARSE_CONDITIONS),
+       s=st.sets(st.sampled_from((2, 3, 5, 7))), height=st.integers(1, 300))
+def test_values_bound_holds(point, cond, s, height):
+    # p1_scan_count is a product of these bounds, so each must hold its list
+    ctx, union = SIntegerContext(s), condition_element_union(cond)
+    assert _values_bound((point, cond), union, ctx, height) >= \
+        len(_accepted_values((point, cond), union, ctx, height))
+
+
+def test_values_bound_for_log_counts_both_signs():
+    # the 40 3-smooth numbers up to 1000, each with both signs, under 10 * 7 exponent pairs, doubled
+    divisor, ctx = ((0, 1), LOG), SIntegerContext([2, 3])
+    union = condition_element_union(LOG)
+    assert len(_accepted_values(divisor, union, ctx, 1000)) == 80
+    assert _values_bound(divisor, union, ctx, 1000) == 140
 
 
 def test_p1_census_at_height_1000():
