@@ -300,9 +300,16 @@ def _factor_with(n: int, g: int) -> tuple[tuple[int, int], ...]:
             if is_probable_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
-            d = _brent_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+            # an exact power r^k splits by its k-th root, where rho would take about sqrt(r) steps;
+            # every prime factor left exceeds 10^4 > 2^13, so m = r^k needs 13 * k < m.bit_length()
+            for k in itertools.takewhile(lambda k: 13 * k < m.bit_length(), _TRIAL_PRIMES):
+                r = _iroot(m, k)
+                if r**k == m:
+                    stack += [r] * k
+                    break
+            else:
+                d = _brent_rho(m)
+                stack += (d, m // d)
     return tuple(sorted(out.items()))
 
 

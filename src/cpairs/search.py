@@ -37,10 +37,16 @@ the sieve lists the few resultant values t = p*b - q*a each of them accepts
 (+-(S-smooth part) * (core coprime to S with its exponents in the union),
 plus 0 unless LOG), takes the two lists with the smallest size bounds and
 solves the 2x2 system for (p, q); otherwise the box runs over every primitive pair up to the
-height.  Either way an integer verdict factors each resultant and stops at
-the first prime outside S whose exponent the condition refuses.  Only
-accepts build valuation vectors, and `check_generalized_point_dedekind`
-re-verifies each one; a disagreement is a hard internal error.
+height.  Either way an integer verdict runs one check per divisor that can
+reject, built before the scan: a sparse divisor whose list-size bound is at
+most what the plan already lists (the sieve pair's two bounds together, or
+the box count) looks its resultant up in the set of its accepted values,
+and any other (a larger bound, or an empty union that is not LOG) factors
+it and stops at the first prime outside S whose exponent the condition
+refuses.  The sieve pair and a union holding 1 accept every candidate, so
+they are not checked.  Only accepts build valuation vectors, and
+`check_generalized_point_dedekind` re-verifies each one; a disagreement is
+a hard internal error.
 """
 
 from __future__ import annotations
@@ -399,34 +405,35 @@ def _values_bound(divisor, union, ctx: SIntegerContext, height: int) -> int:
     return 1 + 2 * smooth * m_full_count_bound(bound, union.min_element())
 
 
-def _sieve_divisors(divisors, spec: CPairSpec, ctx: SIntegerContext, height: int) -> list[tuple[int, int]]:
-    """(list length bound, index) of the two sparse divisors with the smallest bounds.
+def _sparse_divisors(divisors, spec: CPairSpec, ctx: SIntegerContext, height: int) -> list[tuple[int, int]]:
+    """(value-list bound, index) of every sparse divisor, smallest bound first.
 
-    A divisor is sparse when it is LOG or its union's least element is >= 2;
-    empty when fewer than two divisors are sparse.
+    A divisor is sparse when it is LOG or its union's least element is >= 2.
     """
     sized = []
     for i, ((pt, cond), union) in enumerate(zip(divisors, spec.unions)):
         least = union.min_element()
         if isinstance(cond, LogCondition) or (least is not None and least >= 2):
             sized.append((_values_bound((pt, cond), union, ctx, height), i))
-    return sorted(sized)[:2] if len(sized) >= 2 else []
+    return sorted(sized)
+
+
+def _scan_count(sparse: list[tuple[int, int]], height: int) -> int:
+    """The sieve's bound is the product of its two value-list bounds; the box
+    examines 1 + (2 * height + 1) * height pairs."""
+    return sparse[0][0] * sparse[1][0] if len(sparse) >= 2 else 1 + (2 * height + 1) * height
 
 
 def p1_scan_count(divisors: Sequence[tuple[tuple[int, int], object]], s_primes: Iterable[int],
                   height: int) -> int:
-    """A bound on the candidates `enumerate_campana_points_p1` examines, computed without building any.
-
-    The sieve's bound is the product of its two value-list bounds; the box
-    examines 1 + (2 * height + 1) * height pairs.
-    """
+    """A bound on the candidates `enumerate_campana_points_p1` examines, and on
+    each accepted-value set its verdict builds, computed without building any."""
     ctx, spec = _p1_setup(divisors, s_primes, height)
-    pair = _sieve_divisors(divisors, spec, ctx, height)
-    return pair[0][0] * pair[1][0] if pair else 1 + (2 * height + 1) * height
+    return _scan_count(_sparse_divisors(divisors, spec, ctx, height), height)
 
 
-def _accepted_values(divisor, union, ctx: SIntegerContext, height: int) -> list[int]:
-    """Ascending resultant values t that a sparse divisor (a : b) accepts up to the height.
+def _accepted_values(divisor, union, ctx: SIntegerContext, height: int) -> set[int]:
+    """The resultant values t that a sparse divisor (a : b) accepts up to the height.
 
     |t| = |p * b - q * a| <= height * (|a| + |b|) =: bound, and t = +-s * c
     with s S-smooth and c coprime to S with every exponent in the union, so c
@@ -455,7 +462,7 @@ def _accepted_values(divisor, union, ctx: SIntegerContext, height: int) -> list[
             if s * c > bound:
                 break
             values.update((s * c, -s * c))
-    return sorted(values)
+    return values
 
 
 def _t_range(c: int, lo: int, hi: int, limit: int) -> tuple[int, int]:
@@ -497,23 +504,61 @@ def _box_candidates(height: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
-def _integer_verdict(p: int, q: int, checks, s_primes: frozenset) -> "bool | None":
-    """None when a divisor rejects (p : q), else whether the point lies on a divisor.
+def _p1_plan(divisors, spec: CPairSpec, ctx: SIntegerContext,
+             height: int) -> tuple[Iterator[tuple[int, int]], list]:
+    """The candidate generator and the reject checks `_integer_verdict` runs on it.
 
-    checks holds (a, b, union, is LOG) per divisor; the first rejection ends
-    the scan.  A LOG union contains no multiplicity, so any prime outside S
-    in a nonzero resultant rejects.
+    With two or more sparse divisors the two with the smallest bounds feed the
+    sieve, else every primitive pair in the box is a candidate.  A check is
+    (a, b, log, values, union) for each divisor that can reject a candidate:
+    values is the set of its accepted resultants when listing them costs no
+    more than the plan already pays -- its list-size bound is at most the sum
+    of the sieve pair's bounds, or at most the box count -- and None (factor
+    the resultant) when it is larger or the divisor is not sparse.  Listing
+    factors every m-full core up to the bound, which for a divisor far from
+    the sieve pair costs more than factoring the few candidates the sieve
+    yields.  The sieve pair accepts every candidate it yields, and a union
+    holding 1 accepts every multiplicity; such a divisor only puts a point in
+    the support, so it has no check.  Set lookups go first.
     """
-    in_support = False
-    for a, b, union, log in checks:
+    sparse = _sparse_divisors(divisors, spec, ctx, height)
+    if len(sparse) >= 2:
+        (_, i), (_, j) = sparse[:2]
+        values1, values2 = (sorted(_accepted_values(divisors[k], spec.unions[k], ctx, height)) for k in (i, j))
+        candidates = _sieve_candidates(divisors[i][0], divisors[j][0], values1, values2, height)
+        skip, limit = {i, j}, sparse[0][0] + sparse[1][0]
+    else:
+        candidates, skip, limit = _box_candidates(height), set(), _scan_count(sparse, height)
+    listed = {i for bound, i in sparse if bound <= limit}
+    checks = []
+    for k, (((a, b), cond), union) in enumerate(zip(divisors, spec.unions)):
+        if k in skip or union.min_element() == 1:
+            continue
+        values = _accepted_values(divisors[k], union, ctx, height) if k in listed else None
+        checks.append((a, b, isinstance(cond, LogCondition), values, union))
+    checks.sort(key=lambda c: c[3] is None)
+    return candidates, checks
+
+
+def _integer_verdict(p: int, q: int, checks, s_primes: frozenset) -> bool:
+    """Whether every check of `_p1_plan` accepts (p : q); the first rejection ends the scan.
+
+    A zero resultant rejects on a LOG divisor.  A nonzero one is looked up in
+    the divisor's accepted-value set when it has one; otherwise it is factored,
+    and a prime outside S whose exponent the union refuses rejects (a LOG union
+    contains no multiplicity).
+    """
+    for a, b, log, values, union in checks:
         t = p * b - q * a
         if t == 0:
             if log:
-                return None
-            in_support = True
+                return False
+        elif values is not None:
+            if t not in values:
+                return False
         elif any(pr not in s_primes and not union.contains(e) for pr, e in factor(t).factors):
-            return None
-    return in_support
+            return False
+    return True
 
 
 def enumerate_campana_points_p1(
@@ -530,23 +575,13 @@ def enumerate_campana_points_p1(
     q >= 0, and p = 1 when q = 0.
     """
     ctx, spec = _p1_setup(divisors, s_primes, height)
-    checks = [(a, b, union, isinstance(cond, LogCondition))
-              for ((a, b), cond), union in zip(divisors, spec.unions)]
-    pair = _sieve_divisors(divisors, spec, ctx, height)
-    if pair:
-        (_, i), (_, j) = pair
-        candidates = _sieve_candidates(divisors[i][0], divisors[j][0],
-                                       _accepted_values(divisors[i], spec.unions[i], ctx, height),
-                                       _accepted_values(divisors[j], spec.unions[j], ctx, height), height)
-        # both sieve divisors accept every candidate, so the others go first and reject early
-        checks = [c for k, c in enumerate(checks) if k not in (i, j)] + [checks[i], checks[j]]
-    else:
-        candidates = _box_candidates(height)
-
+    candidates, checks = _p1_plan(divisors, spec, ctx, height)
     out = []
     for p, q in candidates:
-        in_support = _integer_verdict(p, q, checks, ctx.primes)
-        if in_support is None or (in_support and not include_support_points):
+        if not _integer_verdict(p, q, checks, ctx.primes):
+            continue
+        in_support = any(p * b == q * a for (a, b), _ in divisors)
+        if in_support and not include_support_points:
             continue
         verdict = check_generalized_point_dedekind(spec, point_valuation_vector(p, q, divisors, ctx))
         if not verdict.accepted or ("in_support" in verdict.flags) != in_support:

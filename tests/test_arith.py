@@ -33,6 +33,7 @@ from cpairs.arith import (
     split_coprime,
     valuation,
 )
+from cpairs import arith
 from cpairs.arith import _TRIAL_BLOCKS, _TRIAL_PRIMES, _factor_positive, _iroot, _strong_lucas, factor_many
 
 from _oracles import mfull_by_filter, mfull_by_walk, sympy_valuations
@@ -153,6 +154,7 @@ _EDGE_PRIMES = sorted({p for block, _ in _TRIAL_BLOCKS for p in (block[0], block
 _factor_many_terms = st.one_of(
     st.sampled_from(_TRIAL_PRIMES), st.sampled_from(_EDGE_PRIMES),
     st.sampled_from([10007, 10009, 10037, 1000003]),  # cofactors past 10007^2, cheap for rho
+    st.sampled_from([2**31 - 1, 10**12 + 39]),  # their powers go by an integer root, not by rho
 ).flatmap(lambda p: st.integers(1, 4).map(lambda e: p**e))
 _factor_many_inputs = st.lists(
     st.lists(_factor_many_terms, max_size=4).map(math.prod), max_size=100, unique=True)
@@ -164,6 +166,15 @@ def test_factor_many_matches_factor_positive_and_sympy(ns):
     got = factor_many(ns)  # an empty product in the strategy gives n = 1
     assert got == {n: _factor_positive(n) for n in ns}
     assert all(dict(got[n]) == sympy.factorint(n) for n in ns)
+
+
+@pytest.mark.parametrize("n", [(10**12 + 39) ** 2, (2**31 - 1) ** 3, 3 * 10007**5,
+                               (10**12 + 39) ** 6, 2**64 * (2**61 - 1) ** 7])
+def test_prime_powers_split_without_rho(n, monkeypatch):
+    # rho needs about sqrt(p) steps on p^k; the k-th root finds p at once
+    monkeypatch.setattr(arith, "_brent_rho", lambda m: pytest.fail(f"rho called on {m}"))
+    assert dict(_factor_positive.__wrapped__(n)) == sympy.factorint(n)
+    assert factor_many([n]) == {n: tuple(sorted(sympy.factorint(n).items()))}
 
 
 def test_factor_many_across_chunks():

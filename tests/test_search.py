@@ -5,21 +5,27 @@ import hashlib
 import io
 import json
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpairs.arith import SIntegerContext, _factor_positive, factor_many
+from cpairs import search
+from cpairs.arith import SIntegerContext, _factor_positive, factor, factor_many
 from cpairs.cli import _search_cells, emit, main
-from cpairs.conditions import AtLeast, DivisibleBy, LOG, condition_element_union, parse_condition
+from cpairs.conditions import AtLeast, DivisibleBy, LOG, condition_element_union, parse_condition, parse_pair_spec
 from cpairs.search import (
     PointRecord,
     SearchConfig,
     _accepted_values,
     _candidates,
+    _p1_plan,
+    _p1_setup,
     _values_bound,
     enumerate_campana_points_p1,
+    p1_scan_count,
     parse_projective_point,
     format_projective_point,
     search_shifted_units_2full,
@@ -317,17 +323,98 @@ P1_CONDITIONS = [*map(AtLeast, (1, 2, 3, 4, 40)), *map(DivisibleBy, (1, 2, 3)), 
                  parse_condition("union <2,7>|<3>"), parse_condition("union <2>|<3>")]
 
 
-@settings(max_examples=200)
-@given(points=st.lists(st.sampled_from(P1_POINTS), min_size=1, max_size=4, unique=True),
-       conds=st.lists(st.sampled_from(P1_CONDITIONS), min_size=4, max_size=4),
-       s=st.sets(st.sampled_from((2, 3, 5))), height=st.integers(1, 25), support=st.booleans())
-def test_p1_generators_match_the_box(points, conds, s, height, support):
-    # the sieve (two or more sparse divisors) and the box fallback against the former loop
-    divisors = list(zip(points, conds))
+P1_PAIRS = dict(points=st.lists(st.sampled_from(P1_POINTS), min_size=1, max_size=4, unique=True),
+                conds=st.lists(st.sampled_from(P1_CONDITIONS), min_size=4, max_size=4),
+                s=st.sets(st.sampled_from((2, 3, 5))), height=st.integers(1, 25))
+
+
+def _assert_p1_matches_the_box(divisors, s, height, support=True):
     got = enumerate_campana_points_p1(divisors, sorted(s), height, include_support_points=support)
     want = box_p1_records(divisors, sorted(s), height, include_support_points=support)
     assert [r.to_json_obj() for r in got] == [r.to_json_obj() for r in want]
     assert got == want  # the verdicts behind the JSON too
+
+
+@settings(max_examples=200)
+@given(**P1_PAIRS, support=st.booleans())
+def test_p1_generators_match_the_box(points, conds, s, height, support):
+    # the sieve (two or more sparse divisors) and the box fallback against the former loop
+    _assert_p1_matches_the_box(list(zip(points, conds)), s, height, support)
+
+
+def _plan(divisors, s, height):
+    ctx, spec = _p1_setup(divisors, s, height)
+    return _p1_plan(divisors, spec, ctx, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**P1_PAIRS)
+def test_p1_scan_count_bounds_candidates_and_sets(points, conds, s, height):
+    # the size guard reads p1_scan_count, so it must bound the scan and each set the verdict holds
+    divisors = list(zip(points, conds))
+    scan = p1_scan_count(divisors, s, height)
+    candidates, checks = _plan(divisors, s, height)
+    assert sum(1 for _ in candidates) <= scan
+    assert all(len(values) <= scan for *_, values, _ in checks if values is not None)
+
+
+def _pair(text):
+    return [(parse_projective_point(lbl), cond) for lbl, cond in parse_pair_spec(text).divisors]
+
+
+@pytest.mark.parametrize("text,height,s,factored", [
+    # the sparse divisor at 100000 would list more values than the sieve pair on 0 and inf
+    ("0: >=2; inf: >=2; 100000: >=2", 20, (), 1),
+    ("0: inf; inf: >=2; 100000: >=2", 20, (2,), 1),
+    # an empty union that is not LOG is not sparse: it accepts S-smooth resultants and 0
+    ("0: >=2; 1: union {}; inf: div 2", 30, (2, 3), 1),
+    ("0: union {}; 1: >=1", 12, (3,), 1),
+    # on the box a single sparse divisor is a set lookup; the unions holding 1 have no check
+    ("0: >=2; 1: union <1>; inf: div 1", 30, (2,), 0),
+    # the sieve yields (1 : 1), which lies on the LOG divisor checked by factoring, then by its set
+    ("0: >=40; inf: >=40; 1: inf", 10, (11, 13, 17, 19), 1),
+    ("0: >=40; inf: >=40; 1: inf", 5, (2,), 0),
+], ids=["far-2full", "far-with-log", "empty-union-sieve", "empty-union-box", "box-listed", "on-log-factored",
+       "on-log-listed"])
+def test_p1_checks_match_the_box(text, height, s, factored):
+    divisors = _pair(text)
+    _, checks = _plan(divisors, s, height)
+    assert sum(values is None for *_, values, _ in checks) == factored
+    _assert_p1_matches_the_box(divisors, s, height)
+
+
+LINE_PAIRS = [("0: >=2; 1: >=2; inf: >=2", 100, (), 0), ("0: >=40; 1: >=2; inf: >=2", 25, (), 1),
+              ("0: >=2; 1: union <2,7>|<3>; inf: div 2; -1: inf", 100, (2, 3), 1)]
+
+
+@pytest.mark.parametrize("text,height,s,factored", LINE_PAIRS, ids=["2-2-2", "40-2-2", "union-div-log"])
+def test_p1_verdict_factors_only_unlisted_divisors(text, height, s, factored, monkeypatch):
+    # the verdict factors a candidate's resultant only against a divisor whose values it did not
+    # list (the benchmark's pairs take both kinds of check); accepted points are factored once per
+    # divisor they do not lie on; listing the sparse divisors' values factors their m-full cores
+    divisors = _pair(text)
+    candidates, checks = _plan(divisors, s, height)
+    unlisted = [(a, b) for a, b, _, values, _ in checks if values is None]
+    assert len(unlisted) == factored
+    candidates = list(candidates)
+    resultants = {p * b - q * a for p, q in candidates for a, b in unlisted}
+    calls = []
+
+    def counted(x):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension has its own frame
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, x))
+        return factor(x)
+
+    monkeypatch.setattr(search, "factor", counted)
+    records = enumerate_campana_points_p1(divisors, s, height)
+    callers = Counter(name for name, _ in calls)
+    assert set(callers) <= {"point_valuation_vector", "_accepted_values", "_integer_verdict"}
+    assert callers["point_valuation_vector"] == sum(r.p * b != r.q * a for r in records for (a, b), _ in divisors)
+    assert all(x in resultants for name, x in calls if name == "_integer_verdict")
+    verdict_calls = callers["_integer_verdict"]
+    assert (verdict_calls > 0) == (factored > 0) and verdict_calls <= len(candidates) * factored
 
 
 @pytest.mark.parametrize("oracle_divisors,s", [
