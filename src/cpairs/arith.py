@@ -12,6 +12,11 @@ this package runs:
   at once, from a remainder tree;
 * a cofactor below 10007^2 (10007 is the first prime past the trial primes)
   with no trial-prime factor is prime outright;
+* `factor_many` runs a second stage of the same kind on the cofactors still
+  >= 10007^2: one remainder tree against the product of the primes in
+  (10^4, 10^5), built on first use, gives each cofactor's distinct primes in
+  that range, and what is left below 100003^2 (100003 is the first prime past
+  10^5) is prime outright as well;
 * Miller-Rabin above that, on the shortest prefix of the prime bases
   2, 3, ..., 41 proven for n, and Brent's cycle variant of Pollard rho to
   split what it finds composite.
@@ -44,7 +49,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Mapping
 
 
@@ -145,6 +150,10 @@ _TRIAL_BLOCKS = tuple((tuple(block), math.prod(block))
 # An integer below the square of the first prime past the trial primes with no
 # trial-prime factor is prime; that first prime is the first such integer.
 _PRIME_BELOW = next(n for n in itertools.count(_TRIAL_LIMIT) if math.gcd(n, _TRIAL_PRODUCT) == 1) ** 2
+# The same for the second trial stage of `factor_many`, the primes in (10^4, 10^5): below 10007^2 an
+# integer with no trial-prime factor is prime, so this is the square of the first prime past 10^5.
+_STAGE2_LIMIT = 100_000
+_STAGE2_PRIME_BELOW = next(n for n in itertools.count(_STAGE2_LIMIT) if math.gcd(n, _TRIAL_PRODUCT) == 1) ** 2
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_k, the first k bases): those bases are proven below psi_k (module docstring)
@@ -270,11 +279,15 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
     if n < 1:
         raise ValueError(f"_factor_positive expects n >= 1, got {n}")
-    return _factor_with(n, math.gcd(n, _TRIAL_PRODUCT))
+    out, n = _trial(n, math.gcd(n, _TRIAL_PRODUCT))
+    if n > 1:
+        _split(n, out, _PRIME_BELOW)
+    return tuple(sorted(out.items()))
 
 
-def _factor_with(n: int, g: int) -> tuple[tuple[int, int], ...]:
-    """`_factor_positive(n)`, given g = gcd(n, _TRIAL_PRODUCT), the product of n's distinct trial primes."""
+def _trial(n: int, g: int) -> tuple[dict[int, int], int]:
+    """({trial prime: exponent}, cofactor) of n, given g = gcd(n, _TRIAL_PRODUCT),
+    the product of n's distinct trial primes."""
     out: dict[int, int] = {}
     for block, product in _TRIAL_BLOCKS:
         if g == 1:
@@ -285,32 +298,68 @@ def _factor_with(n: int, g: int) -> tuple[tuple[int, int], ...]:
         g //= h
         for p in (h,) if h in _TRIAL_PRIME_SET else block:
             if h % p == 0:
-                n //= p
-                e = 1
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-    if 1 < n < _PRIME_BELOW:
-        out[n] = 1
-    elif n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            # an exact power r^k splits by its k-th root, where rho would take about sqrt(r) steps;
-            # every prime factor left exceeds 10^4 > 2^13, so m = r^k needs 13 * k < m.bit_length()
-            for k in itertools.takewhile(lambda k: 13 * k < m.bit_length(), _TRIAL_PRIMES):
-                r = _iroot(m, k)
-                if r**k == m:
-                    stack += [r] * k
-                    break
-            else:
-                d = _brent_rho(m)
-                stack += (d, m // d)
-    return tuple(sorted(out.items()))
+                n = _divide_out(n, p, out)
+    return out, n
+
+
+def _divide_out(n: int, p: int, out: dict[int, int]) -> int:
+    """n with every factor of the prime p divided out; p | n, and out[p] gets its exponent."""
+    n //= p
+    e = 1
+    while n % p == 0:
+        n //= p
+        e += 1
+    out[p] = e
+    return n
+
+
+def _split(n: int, out: dict[int, int], prime_below: int) -> None:
+    """Add the prime factorization of n > 1 to out.  prime_below is a prime's
+    square and n has no prime factor below that prime, so a factor of n below
+    prime_below is prime."""
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m < prime_below or is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        # an exact power r^k splits by its k-th root, where rho would take about sqrt(r) steps;
+        # every prime factor left exceeds 10^4 > 2^13, so m = r^k needs 13 * k < m.bit_length()
+        for k in itertools.takewhile(lambda k: 13 * k < m.bit_length(), _TRIAL_PRIMES):
+            r = _iroot(m, k)
+            if r**k == m:
+                stack += [r] * k
+                break
+        else:
+            d = _brent_rho(m)
+            stack += (d, m // d)
+
+
+def _product_tree(xs: list[int]) -> list[list[int]]:
+    """[xs, the products of its pairs, ..., [prod(xs)]] for nonempty xs."""
+    tree = [xs]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([math.prod(level[j : j + 2]) for j in range(0, len(level), 2)])
+    return tree
+
+
+def _residues(ns: list[int], product: int) -> list[int]:
+    """[product % n for n in ns], reduced down a product tree of each chunk of 128 values."""
+    out = []
+    for i in range(0, len(ns), 128):
+        tree = _product_tree(ns[i : i + 128])
+        residues = [product]
+        for level in reversed(tree):
+            residues = [residues[j // 2] % x for j, x in enumerate(level)]
+        out += residues
+    return out
+
+
+@cache
+def _stage2_product() -> int:
+    """The product of the primes in (10^4, 10^5), built on the first `factor_many` that needs it."""
+    return _product_tree([p for p in _sieve(_STAGE2_LIMIT) if p > _TRIAL_LIMIT])[-1][0]
 
 
 def factor_many(ns: Iterable[int]) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -319,24 +368,37 @@ def factor_many(ns: Iterable[int]) -> dict[int, tuple[tuple[int, int], ...]]:
     Each chunk of 128 values is multiplied up a product tree, and
     _TRIAL_PRODUCT is reduced down it to its residue r mod each n, so that
     gcd(r, n) = gcd(_TRIAL_PRODUCT, n) comes from numbers the size of n
-    (Bernstein, "How to find smooth parts of integers", 2004).  The LRU cache
-    of `_factor_positive` is neither read nor filled.
+    (Bernstein, "How to find smooth parts of integers", 2004).  The cofactors
+    still >= 10007^2 then go down trees of their own against the product of
+    the primes in (10^4, 10^5), built on first use: the gcd of a residue with
+    its cofactor is the product of the cofactor's distinct primes in that
+    range, which `_split` takes apart at once, and once they are divided out
+    a cofactor below 100003^2 is prime.  The LRU cache of `_factor_positive`
+    is neither read nor filled.
     """
     ns = list(ns)
     if ns and min(ns) < 1:
         raise ValueError(f"factor_many expects n >= 1, got {min(ns)}")
-    out = {}
-    for i in range(0, len(ns), 128):
-        tree = [ns[i : i + 128]]
-        while len(tree[-1]) > 1:
-            level = tree[-1]
-            tree.append([math.prod(level[j : j + 2]) for j in range(0, len(level), 2)])
-        residues = [_TRIAL_PRODUCT]
-        for level in reversed(tree):
-            residues = [residues[j // 2] % x for j, x in enumerate(level)]
-        for n, r in zip(tree[0], residues):
-            out[n] = _factor_with(n, math.gcd(r, n))
-    return out
+    found = {}
+    big = []  # (factors so far, cofactor >= _PRIME_BELOW)
+    for n, r in zip(ns, _residues(ns, _TRIAL_PRODUCT)):
+        out, m = _trial(n, math.gcd(r, n))
+        found[n] = out
+        if m >= _PRIME_BELOW:
+            big.append((out, m))
+        elif m > 1:
+            out[m] = 1
+    if big:
+        for (out, m), r in zip(big, _residues([m for _, m in big], _stage2_product())):
+            h = math.gcd(r, m)
+            if h > 1:
+                primes: dict[int, int] = {}
+                _split(h, primes, _PRIME_BELOW)
+                for p in primes:
+                    m = _divide_out(m, p, out)
+            if m > 1:
+                _split(m, out, _STAGE2_PRIME_BELOW)
+    return {n: tuple(sorted(out.items())) for n, out in found.items()}
 
 
 @dataclass(frozen=True)

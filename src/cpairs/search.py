@@ -25,9 +25,10 @@ canonical JSON line from those integers.  Every accepted record is still
 re-verified on the spot (its validated shift multiplies out to x - 1, and
 the lift passes the product identity, the unit condition and coprimality for
 Y); a failure there is a hard internal error, not a rejection.  Candidates
-are sorted on the integer key (u, v, sign), which is (|numerator|,
-denominator, sign) with sign ascending, so -x precedes x, and scanned
-serially.
+come in the order of the integer key (u, v, sign), which is (|numerator|,
+denominator, sign) with sign ascending, so -x precedes x: u walks the sorted
+units over S and v the sorted units coprime to u, so nothing is sorted, and
+they are scanned serially.
 
 Line points (p : q) of a pair on P^1 come from one of two candidate
 generators, chosen by the pair itself.  A divisor (a : b) is sparse when it is
@@ -232,24 +233,29 @@ def verify_point_on_X(a: "Fraction | int", b: "Fraction | int", ctx: SIntegerCon
 
 
 def _candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
-    """Lazily yield (sign, u, v, den): x = sign * u / v in lowest terms.
+    """Lazily yield (sign, u, v, den): x = sign * u / v in lowest terms, in (u, v, sign) order.
 
     den holds v's primes with their (negative) exponents in x and in x - 1.
+    The units u = prod p^e, e in 0..b, are listed once for each set of
+    primes that may divide them, (b + 2)^|S| entries in all, each list
+    sorted; u walks the list for all of S, and v the list for the primes
+    outside u's support, so the candidates are never held or sorted here.
     """
     b = cfg.exponent_bound
     signs = (-1, 1) if cfg.include_negative_units else (1,)
-    for ev in itertools.product(range(-b, b + 1), repeat=len(cfg.s_primes)):
-        u = v = 1
-        den = []
-        for p, e in zip(cfg.s_primes, ev):
-            if e > 0:
-                u *= p**e
-            elif e < 0:
-                v *= p**-e
-                den.append((p, e))
-        den = tuple(den)
-        for sign in signs:
-            yield sign, u, v, den
+    # inside[mask]: (v, v's support mask, den) for every unit v whose primes lie in mask
+    inside = [[(1, 0, ())]]
+    for i, p in enumerate(cfg.s_primes):
+        powers = [(p**e, 1 << i, ((p, -e),)) for e in range(1, b + 1)]
+        inside += [vs + [(v * q, mask | bit, den + pe) for v, mask, den in vs for q, bit, pe in powers]
+                   for vs in inside]
+    for vs in inside:
+        vs.sort()
+    every = len(inside) - 1  # the mask of all of S
+    for u, mask, _ in inside[every]:
+        for v, _, den in inside[every ^ mask]:
+            for sign in signs:
+                yield sign, u, v, den
 
 
 def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, decompose,
@@ -285,8 +291,8 @@ def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, wa
 
 def _run_search(cfg: SearchConfig, target: str, split, decompose) -> list[PointRecord]:
     ctx = cfg.context()
-    cands = [c for c in _candidates(cfg) if cfg.include_support_points or c[:3] != (1, 1, 1)]  # (1, 1, 1): x = 1
-    cands.sort(key=lambda c: (c[1], c[2], c[0]))  # (u, v, sign) orders exactly like PointRecord.sort_key
+    # (u, v, sign) orders exactly like PointRecord.sort_key; (1, 1, 1) is x = 1
+    cands = [c for c in _candidates(cfg) if cfg.include_support_points or c[:3] != (1, 1, 1)]
     shifts = factor_many({abs(sign * u - v) for sign, u, v, _ in cands} - {0})
     witnesses = {t: next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
                  for t, num in shifts.items()}

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the code paths under test: factorization
 goes through sympy (or a smallest-prime-factor sieve), m-full numbers through
 a walk over their factorizations, semigroup membership through breadth-first
-closure, and search verdicts through a direct double loop over sign and
-exponent vectors.
+closure, and search verdicts and sweep candidates through a direct loop over
+sign and exponent vectors.
 """
 
 from fractions import Fraction
@@ -158,6 +158,26 @@ def oracle_search(kind: str, s_primes, bound: int, include_negative=True, includ
             w = check(sympy_valuations(x - 1), primes)
             out[x] = ("accept" if w is None else "reject", w)
     return out
+
+
+def sorted_sweep_candidates(cfg) -> list:
+    """The sweep's (sign, u, v, den) candidates the long way: every exponent vector
+    in the box, x = sign * u / v, then sorted on (u, v, sign)."""
+    b = cfg.exponent_bound
+    signs = (-1, 1) if cfg.include_negative_units else (1,)
+    cands = []
+    for ev in itertools.product(range(-b, b + 1), repeat=len(cfg.s_primes)):
+        u = v = 1
+        den = []
+        for p, e in zip(cfg.s_primes, ev):
+            if e > 0:
+                u *= p**e
+            elif e < 0:
+                v *= p**-e
+                den.append((p, e))
+        cands += [(sign, u, v, tuple(den)) for sign in signs]
+    cands.sort(key=lambda c: (c[1], c[2], c[0]))
+    return cands
 
 
 # -- line points, the long way ----------------------------------------------------

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +158,7 @@ _factor_many_terms = st.one_of(
     st.sampled_from(_TRIAL_PRIMES), st.sampled_from(_EDGE_PRIMES),
     st.sampled_from([10007, 10009, 10037, 1000003]),  # cofactors past 10007^2, cheap for rho
     st.sampled_from([2**31 - 1, 10**12 + 39]),  # their powers go by an integer root, not by rho
+    st.sampled_from([99991, 100003, 100019]),  # either side of 10^5, where the second trial stage ends
 ).flatmap(lambda p: st.integers(1, 4).map(lambda e: p**e))
 _factor_many_inputs = st.lists(
     st.lists(_factor_many_terms, max_size=4).map(math.prod), max_size=100, unique=True)
@@ -181,6 +185,46 @@ def test_factor_many_across_chunks():
     # 1 to 3000 spans 24 chunks of 128; products of the primes at each block edge span two blocks
     ns = list(range(1, 3001)) + [p * q * 10007**2 for p, q in zip(_EDGE_PRIMES, _EDGE_PRIMES[1:])]
     assert factor_many(ns) == {n: _factor_positive(n) for n in ns}
+
+
+@pytest.mark.parametrize("n,factors", [
+    (100003**2, ((100003, 2),)),  # the least composite the second stage leaves, so never taken as prime
+    (99991 * 100003, ((99991, 1), (100003, 1))),
+    (10007 * 10009 * 100003**2 * 7, ((7, 1), (10007, 1), (10009, 1), (100003, 2))),
+    (99991**3, ((99991, 3),)),
+])
+def test_factor_many_at_the_second_stage_boundary(n, factors):
+    # the second stage divides out the primes in (10^4, 10^5); 100003 is the next prime,
+    # and a cofactor below 100003^2 left after it is taken as prime without a test
+    assert factor_many([n]) == {n: factors}
+    assert _factor_positive(n) == factors
+    assert dict(factors) == sympy.factorint(n)
+
+
+def test_factor_many_second_stage_across_chunks():
+    # 300 cofactors past 10007^2 reach the second stage, so its remainder trees span three chunks
+    primes = list(sympy.primerange(10**4, 10**5))
+    ns = [p * q for p, q in zip(primes[:150], primes[::-1])]
+    ns += [p * 100003 * 3 for p in primes[150:250]] + [p * 1_000_003 for p in primes[250:300]]
+    got = factor_many(ns)
+    assert got == {n: _factor_positive(n) for n in ns}
+    assert all(dict(got[n]) == sympy.factorint(n) for n in ns)
+
+
+def test_second_stage_product_is_built_only_by_factor_many():
+    # start-up, the parser and a line command never build the product of the primes up to 10^5
+    argv = ["p1", "enumerate", "--pair", "0: >=2; 1: >=2; inf: >=2", "--height", "30"]
+    code = ("import cpairs.cli, contextlib, io\n"
+            "cpairs.cli.build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cpairs.cli.main({argv!r}) == 0\n"
+            "print(cpairs.arith._stage2_product.cache_info().currsize)\n"
+            "cpairs.arith.factor_many([10007**3])\n"
+            "print(cpairs.arith._stage2_product.cache_info().currsize)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_factor_many_refuses_nonpositive():

@@ -33,7 +33,7 @@ from cpairs.search import (
     verify_point_on_X,
 )
 
-from _oracles import box_p1_records, oracle_p1_accepts, oracle_search
+from _oracles import box_p1_records, oracle_p1_accepts, oracle_search, sorted_sweep_candidates
 
 S2B4 = SearchConfig(s_primes=[2], exponent_bound=4)
 
@@ -195,6 +195,16 @@ def test_json_line_matches_reference_over_small_sweeps(cfg, kind):
     records = SWEEPS[kind](cfg)
     if records:
         _assert_record_routes_agree(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_small_sweeps())
+def test_candidates_come_in_output_order(cfg):
+    # the unit lists yield the box of exponent vectors already sorted on (u, v, sign)
+    got = list(_candidates(cfg))
+    assert got == sorted_sweep_candidates(cfg)
+    signs = 2 if cfg.include_negative_units else 1
+    assert len(got) == signs * (2 * cfg.exponent_bound + 1) ** len(cfg.s_primes)
 
 
 @pytest.mark.parametrize("kind", sorted(SWEEPS))
