@@ -11,7 +11,9 @@ them by `flat`, with a small per-command override where a cell is written
 differently.  The command set is the `COMMANDS` table, which also names the
 JSON field whose false value makes --strict exit 1.  The common flags
 (--format, --strict, --config, --s) follow the subcommand:
-`cpairs semigroup atoms "<4.." --format csv`.
+`cpairs semigroup atoms "<4.." --format csv`.  A known command path is
+parsed by that command's own leaf parser in one pass; the full parser tree,
+built once, serves help, unknown names, leading flags and the tests.
 
 A plain-text config file ("key = value" lines, # comments) can preset the
 common flags; explicit flags win.  Unknown, duplicate, or malformed entries
@@ -577,6 +579,34 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
+class _TopParser(_Parser):
+    """The `cpairs` parser: a known command path goes straight to its leaf parser.
+
+    argparse would parse `mfull check 5` three times over (top, group, leaf),
+    each level handing the rest of the argv to the next.  A path in `leaves`
+    gives the same namespace and leftovers from the leaf alone; any other argv
+    (help, an unknown name, a leading flag) takes the full argparse route.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.leaves: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        words = 1 if tuple(args[:1]) in self.leaves else 2
+        leaf = self.leaves.get(tuple(args[:words]))
+        if leaf is None:
+            return super().parse_known_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        namespace.command = args[0]
+        if words == 2:
+            namespace.action = args[1]
+        sub, extras = leaf.parse_known_args(args[words:])
+        vars(namespace).update(vars(sub))
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `cpairs` parser, built once per process from `COMMANDS`."""
@@ -590,9 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--s", metavar="P,P,...",
                         help="excluded primes S (comma separated, empty for none)")
 
-    p = _Parser(prog="cpairs", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = {"": p.add_subparsers(dest="command", required=True)}
+    p = _TopParser(prog="cpairs", description=__doc__,
+                   formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = {"": p.add_subparsers(dest="command", required=True, parser_class=_Parser)}
     for path, handler, arguments, strict_field in COMMANDS:
         group, _, name = path.rpartition(" ")
         if group not in subs:
@@ -602,6 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         for names, kwargs in arguments:
             leaf.add_argument(*names, **kwargs)
         leaf.set_defaults(fn=handler, strict_field=strict_field)
+        p.leaves[tuple(path.split())] = leaf
     return p
 
 

@@ -172,6 +172,44 @@ def format_pair_spec(spec: CPairSpec) -> str:
     return "; ".join(f"{lbl}: {format_condition(c)}" for lbl, c in spec.divisors)
 
 
+# -- typed JSON readers ------------------------------------------------------
+# A JSON argument is read by exact type, never coerced: true is not 1, 1.5 is
+# not 1, "22" is not [2, 2] and ["x"] is not the id "['x']".  A shape is a
+# type, matched exactly (so a bool is not an int), [shape] for a list of any
+# length, or a tuple of shapes for a list of that length.
+
+_REQUIRED = object()
+
+
+def _has_shape(value, shape) -> bool:
+    if isinstance(shape, type):
+        return type(value) is shape
+    if type(value) is not list:
+        return False
+    if isinstance(shape, list):
+        return all(_has_shape(v, shape[0]) for v in value)
+    return len(value) == len(shape) and all(map(_has_shape, value, shape))
+
+
+def json_object(obj, what: str) -> Mapping:
+    """obj if it is a JSON object, else ValueError "expected {what}"."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected {what}")
+    return obj
+
+
+def json_field(obj: Mapping, key: str, shape, what: str, default=_REQUIRED):
+    """obj[key] if it has `shape`, else ValueError "'key' must be {what}"; `default` if absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"missing {key!r}")
+        return default
+    value = obj[key]
+    if not _has_shape(value, shape):
+        raise ValueError(f"{key!r} must be {what}")
+    return value
+
+
 # -- valuation vectors -------------------------------------------------------
 
 
@@ -210,17 +248,10 @@ class DivisorValuations:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "DivisorValuations":
         """Inverse of to_json_obj; a malformed shape raises ValueError."""
-        if not isinstance(obj, Mapping):
-            raise ValueError("expected an object with 'contained' and 'mults'")
-        contained = obj.get("contained", False)
-        if not isinstance(contained, bool):
-            raise ValueError("'contained' must be true or false")
-        mults = obj.get("mults", [])
-        if not isinstance(mults, list) or not all(
-            isinstance(pm, list) and len(pm) == 2 and all(type(x) is int for x in pm) for pm in mults
-        ):
-            raise ValueError("'mults' must be a list of [prime, multiplicity] integer pairs")
-        return cls(contained=contained, mults=[(p, m) for p, m in mults])
+        obj = json_object(obj, "an object with 'contained' and 'mults'")
+        return cls(contained=json_field(obj, "contained", bool, "true or false", False),
+                   mults=json_field(obj, "mults", [(int, int)],
+                                    "a list of [prime, multiplicity] integer pairs", []))
 
 
 def vector_to_json_obj(vec: Mapping[str, DivisorValuations]) -> dict:
@@ -229,10 +260,8 @@ def vector_to_json_obj(vec: Mapping[str, DivisorValuations]) -> dict:
 
 def vector_from_json_obj(obj: Mapping) -> dict[str, DivisorValuations]:
     """Object of label -> valuation data; errors name the offending label."""
-    if not isinstance(obj, Mapping):
-        raise ValueError("valuation vector must be an object mapping divisor labels to valuation data")
     vec = {}
-    for lbl, dv in obj.items():
+    for lbl, dv in json_object(obj, "an object mapping divisor labels to valuation data").items():
         try:
             vec[str(lbl)] = DivisorValuations.from_json_obj(dv)
         except ValueError as e:
@@ -388,8 +417,11 @@ class DivisorConfiguration:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "DivisorConfiguration":
-        return cls(components=[(c, m) for c, m in obj["components"]],
-                   edges=[(a, b) for a, b in obj.get("edges", [])])
+        """Inverse of to_json_obj; a malformed shape raises ValueError."""
+        obj = json_object(obj, "an object with 'components' and 'edges'")
+        return cls(components=json_field(obj, "components", [(str, int)],
+                                         "a list of [id, multiplicity] pairs of a string and an integer"),
+                   edges=json_field(obj, "edges", [(str, str)], "a list of [id, id] string pairs", []))
 
 
 @dataclass(frozen=True)

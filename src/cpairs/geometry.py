@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .arith import INFINITY
-from .conditions import LogCondition, condition_element_union
+from .conditions import LogCondition, condition_element_union, json_field, json_object
 from .semigroups import SemigroupUnion
 
 
@@ -402,8 +402,10 @@ def fibre_to_json_obj(label: str, fibre: FibreDecomposition) -> dict:
 
 
 def fibre_from_json_obj(obj: Mapping) -> tuple[str, FibreDecomposition]:
-    return str(obj["divisor"]), FibreDecomposition(
-        multiplicities=obj.get("mults", []),
-        has_exceptional_part=obj.get("exceptional", False),
-        empty=obj.get("empty", False),
+    """Inverse of fibre_to_json_obj; a malformed shape raises ValueError."""
+    obj = json_object(obj, "a fibre object with 'divisor', 'mults', 'exceptional' and 'empty'")
+    return json_field(obj, "divisor", str, "a string"), FibreDecomposition(
+        multiplicities=json_field(obj, "mults", [int], "a list of integers", []),
+        has_exceptional_part=json_field(obj, "exceptional", bool, "true or false", False),
+        empty=json_field(obj, "empty", bool, "true or false", False),
     )

@@ -1,14 +1,17 @@
 """Command line behaviour: outputs, formats, config files, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cpairs.cli import COMMANDS, main
+from cpairs.cli import COMMANDS, _Parser, build_parser, main
 from cpairs.semigroups import MAX_APERY
 
 
@@ -128,6 +131,67 @@ def test_deeply_nested_json_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "[" * 100_000)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def quiet(fn, *args):
+    """("ok", fn's result) or ("exit", code, stdout, stderr) when fn exits, with output held."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "ok", fn(*args), out.getvalue(), err.getvalue()
+        except SystemExit as e:
+            return "exit", e.code, out.getvalue(), err.getvalue()
+
+
+CONFIG_ARGV = ("config", "check", "--union", "<2,3>", "--configuration")
+FIBRES_ARGV = ("fibre", "orbifold-base", "--fibres")
+POINT_ARGV = ("cpair", "check", "--pair", "D: >=2", "--point")
+# (argv before the JSON, the JSON with @ at the field under test, the one type that field takes)
+TYPED_FIELDS = [
+    (CONFIG_ARGV, '{"components": @}', list),
+    (CONFIG_ARGV, '{"components": [@]}', list),
+    (CONFIG_ARGV, '{"components": [[@, 2]]}', str),
+    (CONFIG_ARGV, '{"components": [["a", @]]}', int),
+    (CONFIG_ARGV, '{"components": [["a", 2], ["b", 3]], "edges": @}', list),
+    (CONFIG_ARGV, '{"components": [["a", 2], ["b", 3]], "edges": [@]}', list),
+    (CONFIG_ARGV, '{"components": [["a", 2], ["b", 3]], "edges": [["a", @]]}', str),
+    (FIBRES_ARGV, '[{"divisor": @, "mults": [2]}]', str),
+    (FIBRES_ARGV, '[{"divisor": "D", "mults": @}]', list),
+    (FIBRES_ARGV, '[{"divisor": "D", "mults": [@]}]', int),
+    (FIBRES_ARGV, '[{"divisor": "D", "mults": [2], "exceptional": @}]', bool),
+    (FIBRES_ARGV, '[{"divisor": "D", "mults": [], "empty": @}]', bool),
+    (POINT_ARGV, '{"D": {"contained": @}}', bool),
+    (POINT_ARGV, '{"D": {"mults": @}}', list),
+    (POINT_ARGV, '{"D": {"mults": [@]}}', list),
+    (POINT_ARGV, '{"D": {"mults": [[2, @]]}}', int),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("argv,template,kind", TYPED_FIELDS, ids=lambda v: v if isinstance(v, str) else None)
+@given(value=JSON_VALUES)
+def test_wrong_typed_json_field_exits_2(argv, template, kind, value):
+    # a value of any other JSON type is refused, never coerced (true is not 1, "22" is not [2, 2])
+    assume(type(value) is not kind)
+    status, code, out, err = quiet(main, [*argv, template.replace("@", json.dumps(value))])
+    assert (status, code, out) == ("ok", 2, "")
+    assert err.startswith("error: bad ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,template", [
+    (CONFIG_ARGV, '{"components": [["a", 2, 3]]}'),
+    (CONFIG_ARGV, '{"components": [["a", 2], ["b", 3]], "edges": [["a"]]}'),
+    (CONFIG_ARGV, '{"edges": []}'),
+    (FIBRES_ARGV, '[{"mults": [2]}]'),
+    (FIBRES_ARGV, '[[2]]'),
+])
+def test_malformed_json_shape_exits_2(capsys, argv, template):
+    code, out, err = run(capsys, *argv, template)
+    assert code == 2 and out == "" and err.startswith("error: bad ") and err.count("\n") == 1
 
 
 def test_cpair_divisor(capsys):
@@ -303,6 +367,48 @@ def test_help_lists_every_flag(capsys, path, arguments):
     declared = [n for names, _ in arguments for n in names if n.startswith("-")]
     for flag in ["--format", "--strict", "--config", "--s", *declared]:
         assert flag in out, (path, flag)
+
+
+# -- dispatch: a known command path is parsed by its leaf parser alone -------------------
+
+LEAF_FLAGS = sorted({flag for leaf in build_parser().leaves.values()
+                     for flag in leaf._option_string_actions})
+PATH_WORDS = [c[0].split() for c in COMMANDS]
+# every path, its first word, its last word misspelled, a path as one word, a leading flag
+ARGV_HEADS = [[], *PATH_WORDS, *(words[:1] for words in PATH_WORDS),
+              *([*words[:-1], words[-1][:-1]] for words in PATH_WORDS),
+              ["mfull check"], ["--format", "csv"]]
+# each leaf flag, whole or abbreviated, and values, separators and junk
+ARGV_TOKENS = (
+    st.sampled_from(LEAF_FLAGS).flatmap(lambda f: st.sampled_from([f[:k] for k in range(2, len(f) + 1)]))
+    | st.sampled_from(["-9/8", "-5", "12", "0", "2,3", "<2,7>|<3>", "D: >=2", "{}", "2full", "II*", "csv",
+                       "--", "-h", "-x", "-", "junk", "--junk", "--format=csv", "mfull", "check"]))
+
+
+@settings(max_examples=400)
+@given(head=st.sampled_from(ARGV_HEADS), tail=st.lists(ARGV_TOKENS, max_size=6))
+def test_dispatch_matches_the_full_argparse_route(head, tail):
+    # _Parser.parse_known_args is argparse's own: top, group and leaf parser in turn
+    top, argv = build_parser(), head + tail
+    fast, full = quiet(top.parse_known_args, argv), quiet(_Parser.parse_known_args, top, argv)
+    if fast[0] == full[0] == "ok":
+        (ns, extras), (ns_full, extras_full) = fast[1], full[1]
+        assert (vars(ns), extras) == (vars(ns_full), extras_full)
+    else:
+        assert fast == full
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cpairs", "factor", "12", "--format", "csv"])
+    assert main() == 0
+    assert capsys.readouterr().out == "value,sign,factors\n12,1,2^2*3\n"
+    monkeypatch.setattr(sys, "argv", ["cpairs", "factor", "12", "extra"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: cpairs [-h]")
+    assert err.endswith("cpairs: error: unrecognized arguments: extra\n")
 
 
 # -- config files -------------------------------------------------------------------
