@@ -4,10 +4,15 @@
 Counts accepted primitive points (p : q) up to increasing height bounds for a
 configurable multiplicity m on the divisors [0], [1], [infinity].  With m = 2
 and S empty the accepted points are exactly those whose three resultants p,
-p - q, q are each zero or 2-full.
+p - q, q are each zero or 2-full.  Each row also gives N/H^(1/2), the count
+over the square root of the height, the order of growth that the heuristic
+for Campana points predicts (Pieropan, Smeets, Tanimoto and
+Várilly-Alvarado, "Campana points of bounded height on vector group
+compactifications", Proc. LMS 2021).
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,11 +34,11 @@ def main() -> int:
     records = enumerate_campana_points_p1(divisors, primes, args.height)
 
     print(f"multiplicity {args.m} at [0], [1], [inf]; S = {list(primes)}")
-    print("height  accepted  (cumulative, support points included)")
+    print("height  accepted  N/H^(1/2)  (cumulative, support points included)")
     step = max(args.height // 10, 1)
     for h in range(step, args.height + 1, step):
         n = sum(1 for r in records if r.height <= h)
-        print(f"{h:6d}  {n:8d}")
+        print(f"{h:6d}  {n:8d}  {n / math.sqrt(h):9.3f}")
 
     outside = [r for r in records if "in_support" not in r.flags]
     print(f"\n{len(outside)} accepted points lie outside the three divisors; smallest by height:")

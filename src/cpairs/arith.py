@@ -47,10 +47,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Mapping
+
+from ._value import Value
 
 
 class ZeroFactorizationError(ValueError):
@@ -401,23 +402,25 @@ def factor_many(ns: Iterable[int]) -> dict[int, tuple[tuple[int, int], ...]]:
     return {n: tuple(sorted(out.items())) for n, out in found.items()}
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Value):
     """Signed factorization of a nonzero rational: sign * prod p^e, e != 0."""
 
+    __slots__ = _fields = ("sign", "factors")
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly ascending")
             if e == 0:
                 raise ValueError(f"zero exponent stored for prime {p}")
             last = p
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
     def value(self) -> Fraction:
         v = Fraction(self.sign)
@@ -470,10 +473,10 @@ def valuation(x: "Fraction | int", p: int) -> "int | _Infinity":
     return v
 
 
-@dataclass(frozen=True)
-class SIntegerContext:
+class SIntegerContext(Value):
     """A finite set S of excluded primes; S = empty set means plain integers."""
 
+    __slots__ = _fields = ("primes",)
     primes: frozenset[int]
 
     def __init__(self, primes: Iterable[int] = ()):

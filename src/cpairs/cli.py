@@ -32,7 +32,9 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import arith, conditions, geometry, search as search_mod
+# `geometry` is imported by the handlers that use it, so a sweep or `p1` never loads it; what
+# those commands use is imported here, so that none of their runs pays for an import.
+from . import arith, conditions, search as search_mod
 from .arith import SIntegerContext, format_rational, parse_rational
 from .semigroups import MAX_APERY, format_semigroup, format_union, parse_semigroup, parse_union
 
@@ -365,6 +367,8 @@ _CLASSIFICATION_COLUMNS = ["inf_mult", "gcd_mult", "coefficient", "inf_multiple"
 
 def cmd_fibre_classify(args, opt: Options):
     """inf-/gcd-multiplicity of one fibre."""
+    from . import geometry
+
     fibre = geometry.FibreDecomposition(
         multiplicities=_conv_ints(args.mults, "--mults"),
         has_exceptional_part=args.exceptional,
@@ -375,15 +379,11 @@ def cmd_fibre_classify(args, opt: Options):
     return [obj], ["mults", "exceptional", "empty", *_CLASSIFICATION_COLUMNS], None
 
 
-def _fibres(data) -> list[tuple[str, geometry.FibreDecomposition]]:
-    if not isinstance(data, list):
-        raise ValueError("expected a list of fibre objects")
-    return [geometry.fibre_from_json_obj(o) for o in data]
-
-
 def cmd_fibre_orbifold_base(args, opt: Options):
     """The orbifold base of a list of fibres, one row per divisor."""
-    report = geometry.orbifold_base(_load_json_arg(args.fibres, "fibres", _fibres))
+    from . import geometry
+
+    report = geometry.orbifold_base(_load_json_arg(args.fibres, "fibres", geometry.fibres_from_json_obj))
     obj = {"divisors": [{"divisor": e.label, **_classification_fields(e.classification)}
                         for e in report.entries]}
     return [obj], ["divisor", *_CLASSIFICATION_COLUMNS], obj["divisors"]
@@ -391,7 +391,9 @@ def cmd_fibre_orbifold_base(args, opt: Options):
 
 def cmd_fibre_checklist(args, opt: Options):
     """The weak-specialness checklist."""
-    fibres = _load_json_arg(args.fibres, "fibres", _fibres)
+    from . import geometry
+
+    fibres = _load_json_arg(args.fibres, "fibres", geometry.fibres_from_json_obj)
     rep = geometry.weakly_special_checklist(args.base_ws, args.dense_ws, fibres)
     obj = {
         "base_weakly_special": rep.base_weakly_special,
@@ -405,6 +407,8 @@ def cmd_fibre_checklist(args, opt: Options):
 
 def cmd_xa_classify(args, opt: Options):
     """Weak specialness of the x^a family."""
+    from . import geometry
+
     cls = geometry.classify_xa_family(args.exponents)
     return [{"a": list(cls.a), "weakly_special": cls.weakly_special, "special": cls.special}], \
         ["a", "weakly_special", "special"], None
@@ -412,6 +416,8 @@ def cmd_xa_classify(args, opt: Options):
 
 def cmd_kodaira_reduce(args, opt: Options):
     """Reduced removal of a starred Kodaira fibre."""
+    from . import geometry
+
     rem = geometry.kodaira_reduced_removal(args.type)
     obj = {
         "type": rem.type.value,
@@ -438,6 +444,8 @@ def _weights_obj(w: geometry.CampanaWeightData) -> dict:
 
 def cmd_weights(args, opt: Options):
     """Weight vector and kernel lattice."""
+    from . import geometry
+
     blocks = _conv_ints(args.blocks, "--blocks") or None
     obj = _weights_obj(geometry.campana_weights(args.exponents, blocks))
     row = {**flat(obj), "kernel_basis": "; ".join(" ".join(map(str, r)) for r in obj["kernel_basis"]),
@@ -447,6 +455,8 @@ def cmd_weights(args, opt: Options):
 
 def cmd_space_report(args, opt: Options):
     """The model space of a condition."""
+    from . import geometry
+
     cond = conditions.parse_condition(args.condition)
     rep = geometry.campana_space_report(cond)
     obj = {

@@ -13,10 +13,10 @@ machine-readable witnesses (failing prime, support flags, block assignment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
+from ._value import Value
 from .arith import INFINITY, is_probable_prime
 from .semigroups import (
     NumericalSemigroup,
@@ -26,32 +26,38 @@ from .semigroups import (
 )
 
 
-@dataclass(frozen=True)
-class AtLeast:
+class AtLeast(Value):
+    __slots__ = _fields = ("m",)
     m: int
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"AtLeast needs m >= 1, got {self.m}")
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValueError(f"AtLeast needs m >= 1, got {m}")
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class DivisibleBy:
+class DivisibleBy(Value):
+    __slots__ = _fields = ("m",)
     m: int
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"DivisibleBy needs m >= 1, got {self.m}")
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValueError(f"DivisibleBy needs m >= 1, got {m}")
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class UnionCondition:
+class UnionCondition(Value):
+    __slots__ = _fields = ("union",)
     union: SemigroupUnion
 
+    def __init__(self, union: SemigroupUnion):
+        object.__setattr__(self, "union", union)
 
-@dataclass(frozen=True)
-class LogCondition:
+
+class LogCondition(Value):
     """Infinite multiplicity: the divisor must be avoided altogether."""
+
+    __slots__ = ()
 
 
 LOG = LogCondition()
@@ -93,17 +99,18 @@ def cpair_coefficient(cond) -> Fraction:
 # -- pair specifications -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CPairSpec:
+class CPairSpec(Value):
     """Ordered divisor labels, each with its multiplicity condition.
 
     `unions` holds each condition's element union, built once here (which
     also type-checks the condition) so that point checks reuse its
-    membership structure.
+    membership structure; it takes no part in equality, hash or repr.
     """
 
+    __slots__ = ("divisors", "unions")
+    _fields = ("divisors",)
     divisors: tuple[tuple[str, object], ...]
-    unions: tuple[SemigroupUnion, ...] = field(compare=False, repr=False)
+    unions: tuple[SemigroupUnion, ...]
 
     def __init__(self, divisors: Iterable[tuple[str, object]]):
         entries = tuple((str(lbl), cond) for lbl, cond in divisors)
@@ -213,8 +220,7 @@ def json_field(obj: Mapping, key: str, shape, what: str, default=_REQUIRED):
 # -- valuation vectors -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorValuations:
+class DivisorValuations(Value):
     """Local data of a point along one divisor.
 
     Either the point is contained in the divisor (`contained=True`, no finite
@@ -222,8 +228,9 @@ class DivisorValuations:
     at finitely many primes p (primes with multiplicity 0 are omitted).
     """
 
-    contained: bool = False
-    mults: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("contained", "mults")
+    contained: bool
+    mults: tuple[tuple[int, int], ...]
 
     def __init__(self, contained: bool = False, mults: Mapping[int, int] | Iterable = ()):
         pairs = tuple(sorted((int(p), int(m)) for p, m in
@@ -272,16 +279,14 @@ def vector_from_json_obj(obj: Mapping) -> dict[str, DivisorValuations]:
 # -- point verdicts ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorVerdict:
+class DivisorVerdict(NamedTuple):
     label: str
     passed: bool
     in_support: bool = False
     witness_prime: "int | None" = None
 
 
-@dataclass(frozen=True)
-class PointVerdict:
+class PointVerdict(NamedTuple):
     accepted: bool
     divisors: tuple[DivisorVerdict, ...]
 
@@ -350,8 +355,7 @@ def cpair_divisor(spec: CPairSpec) -> list[tuple[str, Fraction]]:
 # -- divisor configurations (non-Dedekind bases) ------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorConfiguration:
+class DivisorConfiguration(Value):
     """Finitely many prime-divisor components with multiplicities and crossings.
 
     Vertices are component ids with a multiplicity each; edges record which
@@ -359,6 +363,7 @@ class DivisorConfiguration:
     declared ids.
     """
 
+    __slots__ = _fields = ("components", "edges")
     components: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
 
@@ -424,8 +429,7 @@ class DivisorConfiguration:
                    edges=json_field(obj, "edges", [(str, str)], "a list of [id, id] string pairs", []))
 
 
-@dataclass(frozen=True)
-class ConfigurationVerdict:
+class ConfigurationVerdict(NamedTuple):
     accepted: bool
     # (component vertex set, 1-based block index) for each connected component
     assignment: "tuple[tuple[tuple[str, ...], int], ...] | None" = None

@@ -94,11 +94,15 @@ class OrbifoldBaseReport:
         raise KeyError(label)
 
 
-def orbifold_base(fibres: Sequence[tuple[str, FibreDecomposition]]) -> OrbifoldBaseReport:
-    """Classify the fibre over each queried divisor, preserving query order."""
+def _check_labels(fibres: Sequence[tuple[str, FibreDecomposition]]) -> None:
     labels = [lbl for lbl, _ in fibres]
     if len(set(labels)) != len(labels):
         raise ValueError("divisor labels must be unique")
+
+
+def orbifold_base(fibres: Sequence[tuple[str, FibreDecomposition]]) -> OrbifoldBaseReport:
+    """Classify the fibre over each queried divisor, preserving query order."""
+    _check_labels(fibres)
     return OrbifoldBaseReport(
         entries=tuple(OrbifoldDivisorEntry(lbl, classify_fibre(f)) for lbl, f in fibres)
     )
@@ -131,6 +135,8 @@ def weakly_special_checklist(
     weakly_special_fibres_dense: bool,
     fibres: Sequence[tuple[str, FibreDecomposition]],
 ) -> ChecklistReport:
+    """Conditions 1 and 2 as certified, condition 3 from the fibres (one per divisor label)."""
+    _check_labels(fibres)
     witness = None
     for lbl, f in fibres:
         if classify_fibre(f).divisible:
@@ -399,6 +405,13 @@ def fibre_to_json_obj(label: str, fibre: FibreDecomposition) -> dict:
         "exceptional": fibre.has_exceptional_part,
         "empty": fibre.empty,
     }
+
+
+def fibres_from_json_obj(data) -> list[tuple[str, FibreDecomposition]]:
+    """A JSON list of fibre objects; a malformed shape raises ValueError."""
+    if not isinstance(data, list):
+        raise ValueError("expected a list of fibre objects")
+    return [fibre_from_json_obj(o) for o in data]
 
 
 def fibre_from_json_obj(obj: Mapping) -> tuple[str, FibreDecomposition]:

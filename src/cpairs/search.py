@@ -55,10 +55,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._value import Value
 from .arith import (
     PrimeFactorization,
     SIntegerContext,
@@ -86,12 +86,13 @@ from .conditions import (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
+    __slots__ = _fields = ("s_primes", "exponent_bound", "include_negative_units",
+                           "include_support_points")
     s_primes: tuple[int, ...]
     exponent_bound: int
-    include_negative_units: bool = True
-    include_support_points: bool = True
+    include_negative_units: bool
+    include_support_points: bool
 
     def __init__(self, s_primes: Iterable[int] = (), exponent_bound: int = 0,
                  include_negative_units: bool = True, include_support_points: bool = True):
@@ -193,8 +194,7 @@ class PointRecord(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class PointMembership:
+class PointMembership(NamedTuple):
     value: Fraction  # a^2 b^3 - 1
     on_x: bool
     on_y: bool
@@ -337,8 +337,7 @@ def _canonical_pair(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-@dataclass(frozen=True)
-class P1PointRecord:
+class P1PointRecord(NamedTuple):
     p: int
     q: int
     verdict: PointVerdict
@@ -496,8 +495,10 @@ def _sieve_candidates(pt1, pt2, values1: list[int], values2: list[int],
         lo2, hi2 = _t_range(a1, a2 * t1 - p_hi, a2 * t1 + p_hi, t2_hi)
         for t2 in values2[bisect_left(values2, max(lo1, lo2)):bisect_right(values2, min(hi1, hi2))]:
             p, rp = divmod(a1 * t2 - a2 * t1, det)
+            if rp:  # p is not an integer, so q's division is not needed
+                continue
             q, rq = divmod(b1 * t2 - b2 * t1, det)
-            if rp == rq == 0 and (q > 0 or p == 1) and math.gcd(p, q) == 1:
+            if rq == 0 and (q > 0 or p == 1) and math.gcd(p, q) == 1:
                 yield p, q
 
 

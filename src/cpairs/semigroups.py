@@ -27,17 +27,19 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+from ._value import Value
 
 # The most Apery-set entries (a1 / gcd) a parsed block or a lower bound may ask
 # for, and the most integers one command-line request may scan or list.
 MAX_APERY = 10**7
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Value):
+    # no __slots__: the cached `_scaled` lives in the instance dict
+    _fields = ("generators",)
     generators: tuple[int, ...]
 
     def __init__(self, generators: Iterable[int] = ()):
@@ -167,8 +169,7 @@ def _round_robin(a1: int, rest: list[int]) -> list[int]:
     return ap
 
 
-@dataclass(frozen=True)
-class SemigroupUnion:
+class SemigroupUnion(Value):
     """Ordered finite union of numerical semigroups; block order and count are data.
 
     `is_cofinite` is the cofiniteness of the semigroup *generated by* the union
@@ -179,6 +180,7 @@ class SemigroupUnion:
     malformed; a union of only empty blocks (or of none) denotes the empty set.
     """
 
+    __slots__ = _fields = ("blocks",)
     blocks: tuple[NumericalSemigroup, ...]
 
     def __init__(self, blocks: Iterable[NumericalSemigroup] = ()):

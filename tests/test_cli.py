@@ -234,6 +234,14 @@ def test_fibre_commands(tmp_path, capsys):
     assert code == 1 and jlines(out)[0]["divisible_witness"] == "0"
 
 
+@pytest.mark.parametrize("command", [("orbifold-base",), ("checklist", "--base-ws", "--dense-ws")],
+                         ids=["orbifold-base", "checklist"])
+def test_fibre_commands_refuse_a_repeated_divisor_label(capsys, command):
+    fibres = '[{"divisor": "D", "mults": [2]}, {"divisor": "D", "mults": [4]}]'
+    code, out, err = run(capsys, "fibre", command[0], "--fibres", fibres, *command[1:])
+    assert (code, out, err) == (2, "", "error: divisor labels must be unique\n")
+
+
 def test_xa_and_kodaira(capsys):
     code, out, _ = run(capsys, "xa", "classify", "2", "3")
     assert jlines(out)[0] == {"a": [2, 3], "weakly_special": True, "special": False}

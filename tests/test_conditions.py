@@ -1,5 +1,7 @@
 """Multiplicity conditions, point checks, and divisor-configuration checks."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,8 +31,9 @@ from cpairs.conditions import (
     vector_from_json_obj,
     vector_to_json_obj,
 )
-from cpairs.arith import INFINITY
-from cpairs.semigroups import parse_union
+from cpairs.arith import INFINITY, PrimeFactorization, SIntegerContext
+from cpairs.search import SearchConfig
+from cpairs.semigroups import NumericalSemigroup, parse_union
 
 
 def test_condition_element_sets():
@@ -229,3 +232,34 @@ def test_configuration_json_roundtrip():
     assert DivisorConfiguration.from_json_obj(obj) == FIX
     assert obj == {"components": [["F2", 2], ["F7", 7], ["F3", 3]],
                    "edges": [["F2", "F7"]]}
+
+
+def test_value_types_keep_frozen_dataclass_semantics():
+    """Equal only within one type, hash agrees with equality, immutable, validated."""
+    assert AtLeast(2) != DivisibleBy(2) and AtLeast(2) != (2,)
+    assert AtLeast(2) == AtLeast(2) and hash(AtLeast(2)) == hash(AtLeast(2))
+    assert len({AtLeast(2), AtLeast(2), DivisibleBy(2), LOG, LOG}) == 3
+    assert repr(AtLeast(2)) == "AtLeast(m=2)"
+    # the element unions take no part in a pair's equality
+    spec = CPairSpec([("D", AtLeast(2))])
+    same = CPairSpec([("D", AtLeast(2))])
+    assert spec.unions is not same.unions and spec == same and hash(spec) == hash(same)
+    assert spec != CPairSpec([("D", AtLeast(3))])
+    assert repr(spec) == "CPairSpec(divisors=(('D', AtLeast(m=2)),))"
+    for value, field in [(AtLeast(2), "m"), (spec, "unions"), (PrimeFactorization(1, ()), "sign"),
+                         (SIntegerContext([2]), "primes"), (NumericalSemigroup([2, 3]), "generators"),
+                         (SearchConfig([2], 1), "exponent_bound")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(ValueError):
+        AtLeast(0)
+    with pytest.raises(ValueError):
+        DivisibleBy(0)
+    with pytest.raises(ValueError):
+        PrimeFactorization(1, ((3, 1), (2, 1)))
+    # the cached Apery set lives beside the fields, outside equality
+    sg = NumericalSemigroup([2, 3])
+    assert sg.contains(5) and sg == NumericalSemigroup([3, 2])

@@ -90,6 +90,8 @@ def test_checklist():
 
     rep = weakly_special_checklist(False, True, fibres)
     assert not rep.certified and rep.no_divisible_fibre
+    with pytest.raises(ValueError, match="divisor labels must be unique"):
+        weakly_special_checklist(True, True, fibres + [("0", FibreDecomposition([4]))])
 
 
 def test_xa_family():
