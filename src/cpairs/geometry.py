@@ -11,18 +11,18 @@ divisible when m+ >= 2; the orbifold base attaches coefficient 1 - 1/m.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from ._value import Value
 from .arith import INFINITY
 from .conditions import LogCondition, condition_element_union, json_field, json_object
-from .semigroups import SemigroupUnion
+from .semigroups import MAX_APERY, SemigroupUnion
 
 
-@dataclass(frozen=True)
-class FibreDecomposition:
+class FibreDecomposition(Value):
     """Multiplicity multiset of the components of a fibre dominating the base point.
 
     `empty` marks an empty fibre (no components at all).  A nonempty fibre of
@@ -30,9 +30,10 @@ class FibreDecomposition:
     nonempty decompositions with an empty multiset are rejected as malformed.
     """
 
+    __slots__ = _fields = ("multiplicities", "has_exceptional_part", "empty")
     multiplicities: tuple[int, ...]
-    has_exceptional_part: bool = False
-    empty: bool = False
+    has_exceptional_part: bool
+    empty: bool
 
     def __init__(self, multiplicities: Iterable[int] = (), has_exceptional_part: bool = False,
                  empty: bool = False):
@@ -56,8 +57,7 @@ def fibre_multiplicities(fibre: FibreDecomposition):
     return min(fibre.multiplicities), math.gcd(*fibre.multiplicities)
 
 
-@dataclass(frozen=True)
-class FibreClassification:
+class FibreClassification(NamedTuple):
     inf_mult: object  # int or INFINITY
     gcd_mult: object
     coefficient: Fraction
@@ -77,14 +77,12 @@ def classify_fibre(fibre: FibreDecomposition) -> FibreClassification:
     )
 
 
-@dataclass(frozen=True)
-class OrbifoldDivisorEntry:
+class OrbifoldDivisorEntry(NamedTuple):
     label: str
     classification: FibreClassification
 
 
-@dataclass(frozen=True)
-class OrbifoldBaseReport:
+class OrbifoldBaseReport(NamedTuple):
     entries: tuple[OrbifoldDivisorEntry, ...]
 
     def coefficient(self, label: str) -> Fraction:
@@ -111,8 +109,7 @@ def orbifold_base(fibres: Sequence[tuple[str, FibreDecomposition]]) -> OrbifoldB
 # -- weakly special fibration checklist ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ChecklistReport:
+class ChecklistReport(NamedTuple):
     """Fibration checklist: certified iff all three conditions hold.
 
     Conditions 1 and 2 (the base is weakly special; weakly special fibres are
@@ -153,8 +150,7 @@ def weakly_special_checklist(
 # -- the x^a family ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XaClassification:
+class XaClassification(NamedTuple):
     a: tuple[int, ...]
     weakly_special: bool
     special: bool
@@ -196,8 +192,7 @@ KODAIRA_MULTIPLICITIES: dict[KodairaStarredType, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class KodairaRemoval:
+class KodairaRemoval(NamedTuple):
     type: KodairaStarredType
     removed_components: int
     fibre: FibreDecomposition
@@ -250,35 +245,35 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Row-style Hermite normal form: positive pivots, entries above reduced."""
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return ()
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, nrows):
-            while mat[i][c] != 0:
-                q = mat[r][c] // mat[i][c]
-                mat[r] = [x - q * y for x, y in zip(mat[r], mat[i])]
-                mat[r], mat[i] = mat[i], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return tuple(tuple(row) for row in mat[:r])
+def _kernel_basis(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of {v in Z^r : a.v = 0}, read off the suffix gcds of a > 0.
+
+    With g_c = gcd(a_c, ..., a_r), row c has the pivot d_c = g_{c+1}/g_c in
+    column c; each later column j with d_j > 1 holds the one residue in [0, d_j)
+    that keeps the rest of a.v = 0 solvable, and the last entry solves it.  The
+    form is unique (Cohen, GTM 138, section 2.4), so any row HNF of the kernel is this.
+    """
+    r = len(a)
+    g = list(a)
+    for c in range(r - 2, -1, -1):
+        g[c] = math.gcd(a[c], g[c + 1])
+    # (column, pivot, inverse of a_j/g_j mod the pivot) where the pivot exceeds 1
+    steps = [(j, d, pow(a[j] // g[j], -1, d)) for j in range(1, r - 1) if (d := g[j + 1] // g[j]) > 1]
+    basis = []
+    for c in range(r - 1):
+        row = [0] * r
+        row[c] = g[c + 1] // g[c]
+        s = a[c] * row[c]  # a.row over the columns filled so far
+        for j, d, inv in steps:
+            if j > c:
+                row[j] = -(s // g[j]) * inv % d
+                s += a[j] * row[j]
+        row[-1] = -s // a[-1]
+        basis.append(tuple(row))
+    return tuple(basis)
 
 
-@dataclass(frozen=True)
-class CampanaWeightData:
+class CampanaWeightData(NamedTuple):
     """Weight vector a, the kernel lattice of v -> a.v, and intersection strata.
 
     kernel_basis is the (r-1) x r Hermite normal form basis of
@@ -303,6 +298,9 @@ def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None
     if any(x < 1 for x in av):
         raise ValueError(f"weights must be positive, got {av}")
     r = len(av)
+    if r * (r - 1) > MAX_APERY:
+        raise ValueError(f"{r} weights give a kernel basis of {r * (r - 1)} integers, "
+                         f"over the limit of {MAX_APERY}")
     if block_sizes is None:
         sizes = (r,)
     else:
@@ -310,37 +308,21 @@ def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None
         if any(s < 1 for s in sizes) or sum(sizes) != r:
             raise ValueError(f"block sizes {sizes} do not partition {r} indices")
 
-    # sequential Euclid: maintain c with a.c = g over the processed prefix
+    # sequential Euclid: maintain c with a.c = g over the processed prefix; c splits a when g = 1
     g = av[0]
     c = [1] + [0] * (r - 1)
-    kernel_rows: list[list[int]] = []
     for i in range(1, r):
-        gi, s, t = _exgcd(g, av[i])
-        row = [(av[i] // gi) * x for x in c]
-        row[i] -= g // gi
-        kernel_rows.append(row)
+        g, s, t = _exgcd(g, av[i])
         c = [s * x for x in c]
         c[i] += t
-        g = gi
 
-    basis = row_hnf(kernel_rows)
-    if len(basis) != r - 1:
-        raise AssertionError("kernel basis lost rank during normalization")
-
-    block_of = []
-    for bi, size in enumerate(sizes):
-        block_of.extend([bi] * size)
-    strata = tuple(
-        (i + 1, j + 1)
-        for i in range(r)
-        for j in range(i + 1, r)
-        if block_of[i] != block_of[j]
-    )
+    strata = tuple((i + 1, j + 1) for end, size in zip(itertools.accumulate(sizes), sizes)
+                   for i in range(end - size, end) for j in range(end, r))
 
     return CampanaWeightData(
         a=av,
         block_sizes=sizes,
-        kernel_basis=basis,
+        kernel_basis=_kernel_basis(av),
         splitting=tuple(c) if g == 1 else None,
         strata=strata,
         inf_mult=min(av),
@@ -348,8 +330,7 @@ def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None
     )
 
 
-@dataclass(frozen=True)
-class CampanaSpaceReport:
+class CampanaSpaceReport(NamedTuple):
     """Torus-rank / weight / fibre data of the model space attached to a condition."""
 
     atoms_per_block: tuple[tuple[int, ...], ...]

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: factorization
 goes through sympy (or a smallest-prime-factor sieve), m-full numbers through
 a walk over their factorizations, semigroup membership through breadth-first
-closure, and search verdicts and sweep candidates through a direct loop over
-sign and exponent vectors.
+closure, search verdicts and sweep candidates through a direct loop over
+sign and exponent vectors, and kernel lattices through a general row Hermite
+normal form of sequential-Euclid rows.
 """
 
 from fractions import Fraction
@@ -124,6 +125,57 @@ def naive_frobenius(generators) -> int:
     els = naive_semigroup_elements(generators, bound)
     gaps = [n for n in range(1, bound + 1) if n not in els]
     return max(gaps) if gaps else -1
+
+
+# -- kernel lattices by a general row Hermite normal form ----------------------
+
+
+def euclid_kernel_rows(a) -> list[list[int]]:
+    """r - 1 rows spanning {v in Z^r : a.v = 0}, by sequential Euclid over a's prefixes.
+
+    Row i - 1 pairs index i with the prefix: (a_i/g') c - (g/g') e_i, where c has
+    a.c = g = gcd(a_1, ..., a_{i-1}) and g' = gcd(g, a_i).
+    """
+    r = len(a)
+    g = a[0]
+    c = [1] + [0] * (r - 1)
+    rows = []
+    for i in range(1, r):
+        s, t, gi = (int(x) for x in sympy.gcdex(g, a[i]))
+        row = [(a[i] // gi) * x for x in c]
+        row[i] -= g // gi
+        rows.append(row)
+        c = [s * x for x in c]
+        c[i] += t
+        g = gi
+    return rows
+
+
+def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
+    """Row-style Hermite normal form: positive pivots, entries above reduced."""
+    mat = [list(map(int, r)) for r in rows]
+    if not mat:
+        return ()
+    nrows, ncols = len(mat), len(mat[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, nrows):
+            while mat[i][c] != 0:
+                q = mat[r][c] // mat[i][c]
+                mat[r] = [x - q * y for x, y in zip(mat[r], mat[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        for i in range(r):
+            q = mat[i][c] // mat[r][c]
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r])
 
 
 # -- shifted-unit search verdicts, the long way ----------------------------------

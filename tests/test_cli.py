@@ -268,6 +268,18 @@ def test_weights_and_space(capsys):
     assert code == 2
 
 
+def test_geometry_size_limit_on_both_sides(capsys):
+    # r weights print r(r - 1) kernel integers, and 3162 * 3161 <= MAX_APERY < 3163 * 3162
+    for argv in (["weights", *map(str, range(1, 3164))], ["space", "report", "--condition", ">=3163"],
+                 ["space", "report", "--condition", ">=10000"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and str(MAX_APERY) in err and "Traceback" not in err
+    code, out, _ = run(capsys, "weights", *map(str, range(1, 3163)))
+    assert code == 0 and len(jlines(out)[0]["kernel_basis"]) == 3161
+    code, out, _ = run(capsys, "space", "report", "--condition", ">=3162")
+    assert code == 0 and jlines(out)[0]["torus_rank"] == 3162
+
+
 def test_search_jsonl_and_zero_hits(capsys):
     code, out, _ = run(capsys, "search", "2full", "--s", "2", "--bound", "4")
     assert code == 0

@@ -1,7 +1,7 @@
 """Cold start: `import cpairs.cli` loads only what the sweeps and `p1` run.
 
-`geometry` is imported by the commands that use it, and no module on the
-eager path uses `dataclasses`.  The check runs in a fresh `python -S`
+`geometry` is imported by the commands that use it, and no module of the
+package uses `dataclasses`.  The check runs in a fresh `python -S`
 interpreter, since pytest and hypothesis import `dataclasses` themselves.
 It is also a script, for CI:
 
@@ -49,7 +49,11 @@ def _run(argv: list[str]) -> str:
 
 
 def cold_start_check() -> None:
-    """Raise AssertionError unless the set-up and the sweep and `p1` commands leave LAZY unloaded."""
+    """Raise AssertionError when a module of LAZY loads before its commands need it.
+
+    Set-up, a sweep and `p1` load neither; the geometry commands load
+    `cpairs.geometry` and still no `dataclasses`.
+    """
     import cpairs.cli
 
     cpairs.cli.build_parser()
@@ -58,7 +62,13 @@ def cold_start_check() -> None:
     _run(["p1", "enumerate", "--pair", "0: >=2; 1: >=2; inf: >=2", "--height", "10"])
     assert _loaded() == [], f"a sweep and a p1 enumerate loaded {_loaded()}"
     assert _run(["weights", "2", "3"]) == WEIGHTS_2_3
-    assert "cpairs.geometry" in sys.modules
+    assert _loaded() == ["cpairs.geometry"]
+    for argv in (["space", "report", "--condition", ">=3"], ["fibre", "classify", "--mults", "2,4"],
+                 ["fibre", "orbifold-base", "--fibres", '[{"divisor": "D", "mults": [2, 3]}]'],
+                 ["fibre", "checklist", "--base-ws", "--dense-ws", "--fibres", '[{"divisor": "D", "empty": true}]'],
+                 ["xa", "classify", "1", "2"], ["kodaira", "reduce", "IV*"]):
+        _run(argv)
+    assert _loaded() == ["cpairs.geometry"], f"the geometry commands loaded {_loaded()}"
 
 
 def test_cold_start_loads_neither_geometry_nor_dataclasses():

@@ -1,6 +1,8 @@
 """Fibre classification, orbifold bases, the x^a family, and weight lattices."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,10 +23,11 @@ from cpairs.geometry import (
     fibre_to_json_obj,
     kodaira_reduced_removal,
     orbifold_base,
-    row_hnf,
     weakly_special_checklist,
 )
 from cpairs.semigroups import parse_union
+
+from _oracles import euclid_kernel_rows, row_hnf
 
 
 def test_fibre_validation():
@@ -37,6 +40,19 @@ def test_fibre_validation():
     with pytest.raises(ValueError):
         FibreDecomposition([0, 2])
     assert FibreDecomposition([3, 2, 2]).multiplicities == (2, 2, 3)
+
+
+def test_fibre_is_an_immutable_value():
+    fibre = FibreDecomposition([3, 2], has_exceptional_part=True)
+    assert fibre == FibreDecomposition([2, 3], True) and hash(fibre) == hash(FibreDecomposition([2, 3], True))
+    assert fibre != ((2, 3), True, False) and fibre != FibreDecomposition([2, 3])
+    assert repr(fibre) == "FibreDecomposition(multiplicities=(2, 3), has_exceptional_part=True, empty=False)"
+    assert copy.copy(fibre) == fibre and pickle.loads(pickle.dumps(fibre)) == fibre
+    for field in ("multiplicities", "empty"):
+        with pytest.raises(AttributeError):
+            setattr(fibre, field, ())
+        with pytest.raises(AttributeError):
+            delattr(fibre, field)
 
 
 def test_classification_fixtures():
@@ -184,26 +200,45 @@ def _random_unimodular_mix(rows, rng):
     return rows
 
 
+def _lattice_checks(a, rng):
+    r = len(a)
+    cuts = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
+    sizes = [end - start for start, end in zip([0, *cuts], [*cuts, r])]
+    w = campana_weights(a, sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    assert w.strata == tuple((i + 1, j + 1) for i in range(r) for j in range(i + 1, r) if block[i] != block[j])
+    # the closed form is the row HNF of the kernel the Euclid rows span, not of a sublattice
+    assert w.kernel_basis == row_hnf(euclid_kernel_rows(a))
+    assert len(w.kernel_basis) == r - 1
+    for row in w.kernel_basis:
+        assert _dot(row, a) == 0
+    leading = [next(x for x in row if x != 0) for row in w.kernel_basis]
+    assert all(x > 0 for x in leading)
+    assert w.gcd_mult == math.gcd(*a) and w.inf_mult == min(a)
+    if math.gcd(*a) == 1:
+        assert w.splitting is not None and _dot(w.splitting, a) == 1
+    else:
+        assert w.splitting is None
+    if r > 1:
+        # HNF is a canonical form: unimodular row mixes do not change it
+        mixed = _random_unimodular_mix(w.kernel_basis, rng)
+        assert row_hnf(mixed) == w.kernel_basis
+
+
 def test_randomized_lattice_invariants():
     rng = random.Random(20260813)
     for _ in range(1000):
         r = rng.randint(1, 6)
         a = tuple(rng.randint(1, 50) for _ in range(r))
-        w = campana_weights(a)
-        assert len(w.kernel_basis) == r - 1
-        for row in w.kernel_basis:
-            assert _dot(row, a) == 0
-        leading = [next(x for x in row if x != 0) for row in w.kernel_basis]
-        assert all(x > 0 for x in leading)
-        assert w.gcd_mult == math.gcd(*a) and w.inf_mult == min(a)
-        if math.gcd(*a) == 1:
-            assert w.splitting is not None and _dot(w.splitting, a) == 1
-        else:
-            assert w.splitting is None
-        if r > 1:
-            # HNF is a canonical form: unimodular row mixes do not change it
-            mixed = _random_unimodular_mix(w.kernel_basis, rng)
-            assert row_hnf(mixed) == w.kernel_basis
+        _lattice_checks(a, rng)
+    for _ in range(1000):
+        r = rng.randint(1, 8)
+        k = rng.randint(2, 12) if rng.random() < 0.3 else 1
+        _lattice_checks(tuple(k * rng.randint(1, 1000) for _ in range(r)), rng)
+    conds = [AtLeast(m) for m in (2, 3, 7, 50)] + [
+        UnionCondition(parse_union(u)) for u in ("<2,7>|<3>", "<6,9,15>|<4,10>|<35..", "<12,18>|<8,20>")]
+    for cond in conds:
+        _lattice_checks(campana_space_report(cond).a, rng)
 
 
 def test_row_hnf_basics():
