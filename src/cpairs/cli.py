@@ -448,9 +448,10 @@ def cmd_weights(args, opt: Options):
 
     blocks = _conv_ints(args.blocks, "--blocks") or None
     obj = _weights_obj(geometry.campana_weights(args.exponents, blocks))
-    row = {**flat(obj), "kernel_basis": "; ".join(" ".join(map(str, r)) for r in obj["kernel_basis"]),
-           "strata": " ".join(f"({i},{j})" for i, j in obj["strata"])}
-    return [obj], ["a", "kernel_basis", "splitting", "strata", "inf", "gcd"], [row]
+    # a generator, as in cmd_search: json output never builds the csv/table row
+    rows = ({**flat(o), "kernel_basis": "; ".join(" ".join(map(str, r)) for r in o["kernel_basis"]),
+             "strata": " ".join(f"({i},{j})" for i, j in o["strata"])} for o in [obj])
+    return [obj], ["a", "kernel_basis", "splitting", "strata", "inf", "gcd"], rows
 
 
 def cmd_space_report(args, opt: Options):

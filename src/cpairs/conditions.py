@@ -82,12 +82,6 @@ def condition_inf(cond):
     return INFINITY if m is None else m
 
 
-def condition_accepts(cond, mult: int) -> bool:
-    if isinstance(cond, LogCondition):
-        return False
-    return condition_element_union(cond).contains(mult)
-
-
 def cpair_coefficient(cond) -> Fraction:
     """Coefficient 1 - 1/m of the associated divisor (1 when m is infinite)."""
     m = condition_inf(cond)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from ._value import Value
 from .arith import INFINITY
 from .conditions import LogCondition, condition_element_union, json_field, json_object
-from .semigroups import MAX_APERY, SemigroupUnion
+from .semigroups import MAX_APERY
 
 
 class FibreDecomposition(Value):
@@ -273,6 +273,12 @@ def _kernel_basis(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
+def _check_rank(r: int) -> None:
+    if r * (r - 1) > MAX_APERY:
+        raise ValueError(f"{r} weights give a kernel basis of {r * (r - 1)} integers, "
+                         f"over the limit of {MAX_APERY}")
+
+
 class CampanaWeightData(NamedTuple):
     """Weight vector a, the kernel lattice of v -> a.v, and intersection strata.
 
@@ -297,10 +303,7 @@ def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None
         raise ValueError("weight tuple is empty")
     if any(x < 1 for x in av):
         raise ValueError(f"weights must be positive, got {av}")
-    r = len(av)
-    if r * (r - 1) > MAX_APERY:
-        raise ValueError(f"{r} weights give a kernel basis of {r * (r - 1)} integers, "
-                         f"over the limit of {MAX_APERY}")
+    _check_rank(r := len(av))
     if block_sizes is None:
         sizes = (r,)
     else:
@@ -313,7 +316,7 @@ def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None
     c = [1] + [0] * (r - 1)
     for i in range(1, r):
         g, s, t = _exgcd(g, av[i])
-        c = [s * x for x in c]
+        c = c if s == 1 else [s * x for x in c]
         c[i] += t
 
     strata = tuple((i + 1, j + 1) for end, size in zip(itertools.accumulate(sizes), sizes)
@@ -358,8 +361,8 @@ def campana_space_report(cond) -> CampanaSpaceReport:
     """
     if isinstance(cond, LogCondition):
         raise ValueError("a log condition has no Campana space model")
-    union: SemigroupUnion = condition_element_union(cond)
-    atoms = union.atoms_per_block()
+    atoms = condition_element_union(cond).atoms_per_block()
+    _check_rank(sum(map(len, atoms)))
     flat = tuple(x for blk in atoms for x in blk)
     if not flat:
         raise ValueError("condition accepts no finite multiplicity")

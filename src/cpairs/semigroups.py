@@ -3,20 +3,24 @@
 A `NumericalSemigroup` is the additive closure of a finite generator set
 inside the positive integers (0 is never an element here; the classical
 Frobenius convention still treats it as reachable, so frobenius(<1>) == -1).
-Membership runs on the Apery set of the gcd-scaled semigroup with respect to
-its smallest generator a1: Ap[r] is the least element congruent to r mod a1
-(Ap[0] = 0), so n is in S exactly when n >= Ap[n mod a1].  The set is built
-once per semigroup.  When the generators below 2*a1 fill every nonzero
-residue class, as they do for "<m..", it is read off the generators in O(k)
-for k generators.  Otherwise the round-robin algorithm of Boecker and Liptak
-("A fast and simple algorithm for the money changing problem", Algorithmica
-2007) builds it in O(k * a1) time and O(a1) memory.  Atoms test only splits
+An ordinary semigroup "<m.." = {n >= m} (Rosales and Garcia-Sanchez,
+"Numerical Semigroups", 2009), or a multiple g*<m.. of one, is answered in
+closed form: n is an element when g divides n and n/g >= m, the Frobenius
+number is m - 1, and the atoms are the first m generators.  The generators
+m..2m-1 of "<m.." itself are held as `range(m, 2m)`.  Every other semigroup
+runs on the Apery set of the gcd-scaled semigroup with respect to its
+smallest generator a1: Ap[r] is the least element congruent to r mod a1
+(Ap[0] = 0), so n is in S exactly when n >= Ap[n mod a1].  The round-robin
+algorithm of Boecker and Liptak ("A fast and simple algorithm for the money
+changing problem", Algorithmica 2007) builds it once per semigroup in
+O(k * a1) time and O(a1) memory for k generators.  Atoms test only splits
 whose smaller part is a1 or an Apery element, so they cost nothing for
 generators below 2*a1.
 
-A parsed block, or a `from_lower_bound` semigroup, may ask for an Apery set
-of at most MAX_APERY entries; a larger one is refused with ValueError before
-anything of its size is allocated.
+A parsed block, or a `from_lower_bound` semigroup, may have at most MAX_APERY
+as a1 / gcd, the size of its Apery set (an ordinary one builds none); a
+larger one is refused with ValueError before anything of its size is
+allocated.
 
 Text forms: "<a,b,c>" generated, "<m.." for everything >= m, "{}" empty,
 "|" separates union blocks.
@@ -40,13 +44,16 @@ MAX_APERY = 10**7
 class NumericalSemigroup(Value):
     # no __slots__: the cached `_scaled` lives in the instance dict
     _fields = ("generators",)
-    generators: tuple[int, ...]
+    generators: "tuple[int, ...] | range"  # sorted and distinct; range(m, 2m) for <m..
 
     def __init__(self, generators: Iterable[int] = ()):
-        gens = tuple(sorted(set(int(g) for g in generators)))
-        for g in gens:
-            if g < 1:
-                raise ValueError(f"generators must be positive integers, got {g}")
+        gens = generators
+        if not (type(gens) is range and gens.step == 1 and gens.stop == 2 * gens.start > 0):
+            gens = tuple(sorted({int(g) for g in generators}))
+            if gens and gens[0] < 1:
+                raise ValueError(f"generators must be positive integers, got {gens[0]}")
+            if gens and len(gens) == gens[0] and gens[-1] == 2 * gens[0] - 1:  # exactly m..2m-1
+                gens = range(gens[0], 2 * gens[0])
         object.__setattr__(self, "generators", gens)
 
     # -- structure ---------------------------------------------------------
@@ -57,28 +64,25 @@ class NumericalSemigroup(Value):
 
     @property
     def gcd(self) -> int:
-        return math.gcd(*self.generators) if self.generators else 0
+        return 1 if type(self.generators) is range else math.gcd(*self.generators) if self.generators else 0
 
     def min_element(self) -> "int | None":
         return self.generators[0] if self.generators else None
 
     @cached_property
-    def _scaled(self) -> tuple[int, list[int]]:
-        """(gcd g of the generators, Apery set of S/g with respect to its smallest generator a1).
+    def _scaled(self) -> "tuple[int, int, list[int] | None]":
+        """(gcd g of the generators, smallest generator a1 of S/g, Apery set of S/g
+        with respect to a1, or None when S/g is ordinary, i.e. {n >= a1}).
 
-        Seed: when the generators below 2*a1 hold every nonzero class mod a1,
-        the least generator of each class is its Apery element, because any
-        smaller element of the class would be a sum of at least two
-        generators, hence >= 2*a1.  The integers strictly between a1 and 2*a1
-        lie in distinct classes, so this happens exactly when they are all
-        generators, and then Ap[r] = a1 + r.  Otherwise round-robin.
+        S/g is ordinary exactly when a1..2*a1-1 are all generators: each is an
+        element, and none is a sum of two.  Sorted and distinct, they are then
+        the first a1 generators, so the a1-th generator decides it.
         """
-        g = self.gcd
-        a1, *rest = (x // g for x in self.generators)
-        low = [a for a in rest[:a1 - 1] if a < 2 * a1]
-        if len(low) == a1 - 1:
-            return g, [0, *low]
-        return g, _round_robin(a1, rest)
+        gens, g = self.generators, self.gcd
+        a1 = gens[0] // g
+        if len(gens) >= a1 and gens[a1 - 1] // g == 2 * a1 - 1:
+            return g, a1, None
+        return g, a1, _round_robin(a1, [x // g for x in gens[1:]])
 
     # -- queries -----------------------------------------------------------
 
@@ -87,11 +91,11 @@ class NumericalSemigroup(Value):
             raise ValueError(f"membership is defined on Z>=1, got {n}")
         if self.is_empty:
             return False
-        g, ap = self._scaled
+        g, a1, ap = self._scaled
         if n % g:
             return False
         n //= g
-        return n >= ap[n % len(ap)]
+        return n >= (a1 if ap is None else ap[n % a1])
 
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
@@ -103,8 +107,9 @@ class NumericalSemigroup(Value):
         """Minimal generators: elements that are not a sum of two elements."""
         if self.is_empty:
             return ()
-        g, ap = self._scaled
-        a1 = len(ap)
+        g, a1, ap = self._scaled
+        if ap is None:
+            return tuple(self.generators[:a1])
         # In a split a = f + h with a1 <= f <= h, either f is an Apery element
         # or f - a1 is 0 or an element, and then a = a1 + (a - a1) is a split.
         # So the smaller parts worth testing are a1 and the Apery elements.
@@ -125,8 +130,8 @@ class NumericalSemigroup(Value):
         """Largest integer outside the semigroup (-1 for <1>, classical convention)."""
         if not self.is_cofinite:
             raise ValueError("frobenius number requires a cofinite semigroup")
-        _, ap = self._scaled
-        return max(ap) - len(ap)
+        _, a1, ap = self._scaled
+        return (a1 - 1 if a1 > 1 else -1) if ap is None else max(ap) - a1
 
     @staticmethod
     def from_lower_bound(m: int) -> "NumericalSemigroup":
@@ -211,8 +216,7 @@ class SemigroupUnion(Value):
 
     @property
     def is_cofinite(self) -> bool:
-        gens = [g for b in self.blocks for g in b.generators]
-        return math.gcd(*gens) == 1 if gens else False
+        return math.gcd(*(b.gcd for b in self.blocks)) == 1
 
     def atoms_per_block(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.atoms() for b in self.blocks)
@@ -252,11 +256,9 @@ def parse_union(text: str) -> SemigroupUnion:
 def format_semigroup(s: NumericalSemigroup) -> str:
     if s.is_empty:
         return "{}"
-    gens = s.generators
-    m = gens[0]
-    if len(gens) == m and gens[-1] == 2 * m - 1:  # sorted and distinct: exactly m..2m-1
-        return f"<{m}.."
-    return "<" + ",".join(str(g) for g in gens) + ">"
+    if type(s.generators) is range:
+        return f"<{s.generators[0]}.."
+    return "<" + ",".join(map(str, s.generators)) + ">"
 
 
 def format_union(u: SemigroupUnion) -> str:

@@ -19,7 +19,6 @@ from cpairs.conditions import (
     check_darmon_point,
     check_generalized_configuration,
     check_generalized_point_dedekind,
-    condition_accepts,
     condition_element_union,
     condition_inf,
     cpair_coefficient,
@@ -41,7 +40,7 @@ def test_condition_element_sets():
     assert condition_element_union(DivisibleBy(3)).elements_up_to(10) == [3, 6, 9]
     assert condition_element_union(LOG).elements_up_to(10) == []
     u = UnionCondition(parse_union("<2>|<3>"))
-    assert condition_accepts(u, 9) and not condition_accepts(u, 7)
+    assert condition_element_union(u).contains(9) and not condition_element_union(u).contains(7)
     assert condition_inf(AtLeast(4)) == 4
     assert condition_inf(LOG) is INFINITY
 

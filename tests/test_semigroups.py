@@ -1,9 +1,11 @@
 """Numerical semigroups: membership, atoms, frobenius, unions, text grammar."""
 
+import copy
 import math
+import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cpairs.semigroups import (
     MAX_APERY,
@@ -63,32 +65,53 @@ def test_atoms_of_lower_bound_sets():
     for m in range(1, 65):
         s = NumericalSemigroup.from_lower_bound(m)
         assert s.atoms() == tuple(range(m, 2 * m))
-        assert s.generators == tuple(range(m, 2 * m))
+        assert tuple(s.generators) == tuple(range(m, 2 * m))
 
 
 @st.composite
-def _seeded_sets(draw):
-    """Generator sets whose generators below 2*a1 fill every nonzero class mod a1:
-    <m.. with m up to 300, plus extra generators above m, times a common factor."""
-    m = draw(st.integers(min_value=1, max_value=300))
-    extra = draw(st.sets(st.integers(min_value=m, max_value=6 * m), max_size=8))
-    scale = draw(st.sampled_from([1, 1, 2, 3, 7]))
-    return {scale * g for g in set(range(m, 2 * m)) | extra}
+def _ordinary_sets(draw):
+    """Every form of an ordinary semigroup g*<m..: the generators m..2m-1 as a range
+    (step g) or as a tuple, alone or with larger generators, times g in {1, 2, 3, 7}."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    g = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    form = draw(st.sampled_from(["range", "tuple", "extra"]))
+    if form == "range":
+        return range(g * m, 2 * g * m, g)
+    gens = set(range(m, 2 * m))
+    if form == "extra":
+        gens |= draw(st.sets(st.integers(min_value=m, max_value=6 * m), min_size=1, max_size=8))
+    return tuple(g * x for x in gens)
 
 
-@given(_seeded_sets())
-def test_seeded_apery_set_matches_round_robin(gens):
+@given(_ordinary_sets())
+@example(range(1, 2))
+@example((7,))
+def test_ordinary_semigroups_in_closed_form(gens):
     s = NumericalSemigroup(gens)
-    g, ap = s._scaled
-    a1, *rest = (x // g for x in s.generators)
-    assert g == math.gcd(*gens)
-    assert ap == _round_robin(a1, rest)
+    g, a1, ap = s._scaled
+    assert ap is None and g == math.gcd(*gens)
+    table = _round_robin(a1, [x // g for x in s.generators[1:]])
+    for n in range(1, g * (3 * a1 + 2)):
+        assert s.contains(n) == (n % g == 0 and n // g >= table[n // g % a1])
+    assert s.atoms() == naive_atoms(gens)
+    if g == 1:
+        assert s.frobenius() == naive_frobenius(gens)
 
 
 def test_seed_is_refused_when_a_class_misses_below_2a1():
     # 9 = 1 mod 4 but 9 >= 8, and 5 = 4 + 1 is not in <4,6,9>: round-robin must run
-    g, ap = NumericalSemigroup([4, 6, 9])._scaled
-    assert (g, ap) == (1, [0, 9, 6, 15]) == (1, _round_robin(4, [6, 9]))
+    assert NumericalSemigroup([4, 6, 9])._scaled == (1, 4, [0, 9, 6, 15]) == (1, 4, _round_robin(4, [6, 9]))
+
+
+def test_interval_generators_are_held_as_the_lower_bound_range():
+    s, t = NumericalSemigroup([3, 5, 4]), parse_semigroup("<3..")
+    assert s.generators == t.generators == range(3, 6) and s == t and hash(s) == hash(t)
+    assert s.contains(4) and repr(s) == "NumericalSemigroup([3, 4, 5])"
+    assert copy.copy(s) == t and pickle.loads(pickle.dumps(s)) == t == copy.deepcopy(s)
+    r = range(5, 10)
+    assert NumericalSemigroup(r).generators is r
+    assert NumericalSemigroup(range(2, 10)).generators == tuple(range(2, 10))
+    assert NumericalSemigroup(range(0)).is_empty
 
 
 def test_large_lower_bound_answers():
