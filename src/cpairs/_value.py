@@ -7,7 +7,8 @@ attribute.  A subclass names its fields in `_fields` (and usually in
 `__slots__`), validates in its own `__init__`, and stores each field with
 `object.__setattr__`; copy and pickle work as they do for a dataclass.  It
 is a plain class, so importing the package builds no class by `exec` and
-does not load `dataclasses`.
+does not load `dataclasses`.  `exact_int` checks an integer input where a
+constructor would otherwise truncate it with `int()`.
 """
 
 from __future__ import annotations
@@ -43,3 +44,10 @@ class Value:
         for part in state if isinstance(state, tuple) else (state,):
             for name, value in (part or {}).items():
                 object.__setattr__(self, name, value)
+
+
+def exact_int(x, what: str) -> int:
+    """x itself when it is an int; a float, Fraction, str or bool raises ValueError naming `what`."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x

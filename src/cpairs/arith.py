@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Mapping
 
-from ._value import Value
+from ._value import Value, exact_int
 
 
 class ZeroFactorizationError(ValueError):
@@ -433,7 +433,8 @@ class PrimeFactorization(Value):
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "PrimeFactorization":
-        return cls(sign=obj["sign"], factors=tuple((int(p), int(e)) for p, e in obj["factors"]))
+        factors = tuple((exact_int(p, "a prime"), exact_int(e, "an exponent")) for p, e in obj["factors"])
+        return cls(sign=obj["sign"], factors=factors)
 
 
 def factor(x: "Fraction | int") -> PrimeFactorization:
@@ -480,7 +481,7 @@ class SIntegerContext(Value):
     primes: frozenset[int]
 
     def __init__(self, primes: Iterable[int] = ()):
-        ps = frozenset(int(p) for p in primes)
+        ps = frozenset(exact_int(p, "a prime of S") for p in primes)
         for p in ps:
             if not is_probable_prime(p):
                 raise ValueError(f"S must consist of primes, got {p}")

@@ -505,7 +505,7 @@ def cmd_p1_enumerate(args, opt: Options):
     _check_scan(search_mod.p1_scan_count(divisors, s_primes, height), "p1 enumerate")
     records = search_mod.enumerate_campana_points_p1(
         divisors, s_primes, height, include_support_points=not args.no_support)
-    return [r.to_json_obj() for r in records], ["point", "height", "verdict", "flags"], None
+    return (r.to_json_obj() for r in records), ["point", "height", "verdict", "flags"], None
 
 
 def cmd_point_verify(args, opt: Options):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from ._value import Value
+from ._value import Value, exact_int
 from .arith import INFINITY, is_probable_prime
 from .semigroups import (
     NumericalSemigroup,
@@ -227,8 +227,8 @@ class DivisorValuations(Value):
     mults: tuple[tuple[int, int], ...]
 
     def __init__(self, contained: bool = False, mults: Mapping[int, int] | Iterable = ()):
-        pairs = tuple(sorted((int(p), int(m)) for p, m in
-                             (mults.items() if isinstance(mults, Mapping) else mults)))
+        items = mults.items() if isinstance(mults, Mapping) else mults
+        pairs = tuple(sorted((exact_int(p, "a prime"), exact_int(m, "a multiplicity")) for p, m in items))
         if contained and pairs:
             raise ValueError("a contained point carries no finite multiplicities")
         last = 1
@@ -362,7 +362,7 @@ class DivisorConfiguration(Value):
     edges: tuple[tuple[str, str], ...]
 
     def __init__(self, components: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str]] = ()):
-        comps = tuple((str(c), int(m)) for c, m in components)
+        comps = tuple((str(c), exact_int(m, "a multiplicity")) for c, m in components)
         ids = [c for c, _ in comps]
         if len(set(ids)) != len(ids):
             raise ValueError("component ids must be unique")

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._value import Value
+from ._value import Value, exact_int
 from .arith import INFINITY
 from .conditions import LogCondition, condition_element_union, json_field, json_object
 from .semigroups import MAX_APERY
@@ -37,7 +37,7 @@ class FibreDecomposition(Value):
 
     def __init__(self, multiplicities: Iterable[int] = (), has_exceptional_part: bool = False,
                  empty: bool = False):
-        mults = tuple(sorted(int(m) for m in multiplicities))
+        mults = tuple(sorted(exact_int(m, "a multiplicity") for m in multiplicities))
         for m in mults:
             if m < 1:
                 raise ValueError(f"multiplicities must be >= 1, got {m}")
@@ -163,7 +163,7 @@ def classify_xa_family(a: Iterable[int]) -> XaClassification:
     non-reduced and the family is not considered here).  The variety is always
     weakly special; it is special exactly when a1 = 1.
     """
-    t = tuple(int(x) for x in a)
+    t = tuple(exact_int(x, "an exponent") for x in a)
     if not t:
         raise ValueError("exponent tuple is empty")
     if any(x < 1 for x in t):
@@ -231,7 +231,7 @@ def kodaira_reduced_removal(t: "KodairaStarredType | str") -> KodairaRemoval:
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 1."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -240,8 +240,6 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
@@ -298,7 +296,7 @@ class CampanaWeightData(NamedTuple):
 
 
 def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None) -> CampanaWeightData:
-    av = tuple(int(x) for x in a)
+    av = tuple(exact_int(x, "a weight") for x in a)
     if not av:
         raise ValueError("weight tuple is empty")
     if any(x < 1 for x in av):
@@ -307,7 +305,7 @@ def campana_weights(a: Iterable[int], block_sizes: "Iterable[int] | None" = None
     if block_sizes is None:
         sizes = (r,)
     else:
-        sizes = tuple(int(s) for s in block_sizes)
+        sizes = tuple(exact_int(s, "a block size") for s in block_sizes)
         if any(s < 1 for s in sizes) or sum(sizes) != r:
             raise ValueError(f"block sizes {sizes} do not partition {r} indices")
 

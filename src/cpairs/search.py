@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._value import Value
+from ._value import Value, exact_int
 from .arith import (
     PrimeFactorization,
     SIntegerContext,
@@ -81,7 +81,6 @@ from .conditions import (
     CPairSpec,
     DivisorValuations,
     LogCondition,
-    PointVerdict,
     check_generalized_point_dedekind,
 )
 
@@ -96,14 +95,14 @@ class SearchConfig(Value):
 
     def __init__(self, s_primes: Iterable[int] = (), exponent_bound: int = 0,
                  include_negative_units: bool = True, include_support_points: bool = True):
-        ps = tuple(sorted(set(int(p) for p in s_primes)))
+        ps = tuple(sorted({exact_int(p, "a prime of S") for p in s_primes}))
         for p in ps:
             if not is_probable_prime(p):
                 raise ValueError(f"S must consist of primes, got {p}")
-        if exponent_bound < 0:
+        if exact_int(exponent_bound, "the exponent bound") < 0:
             raise ValueError("exponent bound must be >= 0")
         object.__setattr__(self, "s_primes", ps)
-        object.__setattr__(self, "exponent_bound", int(exponent_bound))
+        object.__setattr__(self, "exponent_bound", exponent_bound)
         object.__setattr__(self, "include_negative_units", bool(include_negative_units))
         object.__setattr__(self, "include_support_points", bool(include_support_points))
 
@@ -328,33 +327,21 @@ def format_projective_point(pt: tuple[int, int]) -> str:
     return format_rational(Fraction(p, q))
 
 
-def _canonical_pair(p: int, q: int) -> tuple[int, int]:
-    g = math.gcd(p, q)
-    if g:
-        p, q = p // g, q // g
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return p, q
-
-
 class P1PointRecord(NamedTuple):
+    """One accepted line point (p : q) and the flags of its verdict."""
     p: int
     q: int
-    verdict: PointVerdict
+    flags: tuple[str, ...]
 
     @property
     def height(self) -> int:
         return max(abs(self.p), self.q)
 
-    @property
-    def flags(self) -> tuple[str, ...]:
-        return self.verdict.flags
-
     def to_json_obj(self) -> dict:
         return {
             "point": format_projective_point((self.p, self.q)),
             "height": self.height,
-            "verdict": "accept" if self.verdict.accepted else "reject",
+            "verdict": "accept",
             "flags": list(self.flags),
         }
 
@@ -386,7 +373,7 @@ def _p1_setup(divisors, s_primes, height: int) -> tuple[SIntegerContext, CPairSp
         raise ValueError("height bound must be >= 1")
     seen = set()
     for (a, b), _ in divisors:
-        if _canonical_pair(a, b) != (a, b):
+        if math.gcd(a, b) != 1 or not (b > 0 or (a, b) == (1, 0)):
             raise ValueError(f"divisor point ({a}, {b}) is not in canonical primitive form")
         if (a, b) in seen:
             raise ValueError(f"repeated divisor point {format_projective_point((a, b))}")
@@ -594,5 +581,6 @@ def enumerate_campana_points_p1(
         if not verdict.accepted or ("in_support" in verdict.flags) != in_support:
             # an accept the condition check refuses exposes a bug, so fail loudly
             raise AssertionError(f"integer verdict and condition check disagree at ({p} : {q})")
-        out.append(P1PointRecord(p=p, q=q, verdict=verdict))
-    return sorted(out, key=lambda r: (r.height, r.q, r.p))
+        out.append(P1PointRecord(p, q, verdict.flags))
+    out.sort(key=lambda r: (r.height, r.q, r.p))
+    return out

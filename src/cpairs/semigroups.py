@@ -34,7 +34,7 @@ import re
 from functools import cached_property
 from typing import Iterable
 
-from ._value import Value
+from ._value import Value, exact_int
 
 # The most Apery-set entries (a1 / gcd) a parsed block or a lower bound may ask
 # for, and the most integers one command-line request may scan or list.
@@ -49,7 +49,7 @@ class NumericalSemigroup(Value):
     def __init__(self, generators: Iterable[int] = ()):
         gens = generators
         if not (type(gens) is range and gens.step == 1 and gens.stop == 2 * gens.start > 0):
-            gens = tuple(sorted({int(g) for g in generators}))
+            gens = tuple(sorted({exact_int(g, "a generator") for g in generators}))
             if gens and gens[0] < 1:
                 raise ValueError(f"generators must be positive integers, got {gens[0]}")
             if gens and len(gens) == gens[0] and gens[-1] == 2 * gens[0] - 1:  # exactly m..2m-1

@@ -289,5 +289,5 @@ def box_p1_records(divisors, s_primes, height: int, include_support_points=True)
         for p in ps:
             verdict = check_generalized_point_dedekind(spec, point_valuation_vector(p, q, divisors, ctx))
             if verdict.accepted and (include_support_points or "in_support" not in verdict.flags):
-                out.append(P1PointRecord(p=p, q=q, verdict=verdict))
+                out.append(P1PointRecord(p, q, verdict.flags))
     return sorted(out, key=lambda r: (r.height, r.q, r.p))

@@ -115,11 +115,19 @@ def test_cpair_check_strict_and_files(tmp_path, capsys):
     assert obj["accepted"] is False and obj["divisors"][0]["witness"] == 3
 
 
-@pytest.mark.parametrize("point", ['[1]', '{"D": 5}', '{"D": {"mults": 5}}'])
-def test_cpair_check_malformed_point_shape_exits_2(capsys, point):
+MALFORMED_POINTS = [  # (the --point value, what its error line must say)
+    ('[1]', ""), ('{"D": 5}', ""), ('{"D": {"mults": 5}}', ""),
+    ('{"D": {"mults": [[3, 1], [3, 2]]}}', "duplicate prime 3 in valuation data"),
+    ('{"D": ', "malformed point JSON at line 1 column 7"),
+    ("no-such-dir/point.json", "cannot read point file"),
+]
+
+
+@pytest.mark.parametrize("point,message", MALFORMED_POINTS, ids=[point for point, _ in MALFORMED_POINTS])
+def test_cpair_check_malformed_point_shape_exits_2(capsys, point, message):
     code, out, err = run(capsys, "cpair", "check", "--pair", "D: >=2", "--point", point)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -356,6 +364,8 @@ def test_usage_errors_exit_2(capsys):
         (["config", "check", "--union", "<1000000000,1000000001>",
           "--configuration", '{"components": [["A", 3]], "edges": []}'], str(MAX_APERY)),
         (["semigroup", "--format", "csv", "atoms", "<4.."], "usage"),  # common flags follow the leaf
+        (["search", "2full", "--s", "2"], "--bound is required (flag or config)"),
+        (["p1", "enumerate", "--pair", ";", "--height", "3"], "pair specification is empty"),
     ]
     for argv, message in cases:
         try:
@@ -443,6 +453,11 @@ def test_config_file_presets_and_flag_override(tmp_path, capsys):
     # explicit flag wins over the file
     code, out, _ = run(capsys, "search", "2full", "--config", str(cfg), "--bound", "1")
     assert "-8" not in {o["x"] for o in jlines(out)}
+    # strict read from the file: a rejection exits 1 under "yes" and 0 under "off"
+    for value, status in (("yes", 1), ("off", 0)):
+        cfg.write_text(f"strict = {value}\n")
+        code, out, _ = run(capsys, "mfull", "check", "12", "--config", str(cfg))
+        assert code == status and jlines(out)[0]["full"] is False
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -478,6 +493,16 @@ def test_config_file_errors(tmp_path, capsys):
     strict.write_text("strict = maybe\n")
     code, out, err = run(capsys, "semigroup", "contains", "<2,3>", "1", "--config", str(strict))
     assert code == 2 and out == "" and f"{strict}:1:10" in err
+
+    fmt = tmp_path / "format.cfg"
+    fmt.write_text("format = xml\n")
+    code, out, err = run(capsys, "factor", "12", "--config", str(fmt))
+    assert code == 2 and out == "" and f"{fmt}:1:10: format must be json, csv, or table" in err
+
+    primes = tmp_path / "primes.cfg"
+    primes.write_text("s = 2,x\n")
+    code, out, err = run(capsys, "search", "2full", "--bound", "1", "--config", str(primes))
+    assert code == 2 and out == "" and f"{primes}:1:5: expected comma-separated integers" in err
 
 
 def test_json_roundtrip_across_commands(capsys):

@@ -31,6 +31,7 @@ from cpairs.conditions import (
     vector_to_json_obj,
 )
 from cpairs.arith import INFINITY, PrimeFactorization, SIntegerContext
+from cpairs.geometry import FibreDecomposition, campana_weights, classify_xa_family
 from cpairs.search import SearchConfig
 from cpairs.semigroups import NumericalSemigroup, parse_union
 
@@ -262,3 +263,31 @@ def test_value_types_keep_frozen_dataclass_semantics():
     # the cached Apery set lives beside the fields, outside equality
     sg = NumericalSemigroup([2, 3])
     assert sg.contains(5) and sg == NumericalSemigroup([3, 2])
+
+
+# one call per site that reads an integer input, with x in the place under test; x = 2 is valid
+EXACT_INT_SITES = {
+    "SIntegerContext": lambda x: SIntegerContext([2, x]),
+    "NumericalSemigroup": lambda x: NumericalSemigroup([x, 3]),
+    "DivisorValuations prime": lambda x: DivisorValuations(mults={x: 2}),
+    "DivisorValuations multiplicity": lambda x: DivisorValuations(mults={3: x}),
+    "DivisorConfiguration": lambda x: DivisorConfiguration([("A", x)]),
+    "FibreDecomposition": lambda x: FibreDecomposition([x]),
+    "classify_xa_family": lambda x: classify_xa_family([x, 3]),
+    "campana_weights weight": lambda x: campana_weights([x, 3]),
+    "campana_weights block size": lambda x: campana_weights([2, 3, 5], [x, 1]),
+    "PrimeFactorization prime": lambda x: PrimeFactorization.from_json_obj({"sign": 1, "factors": [[x, 1]]}),
+    "PrimeFactorization exponent": lambda x: PrimeFactorization.from_json_obj({"sign": 1, "factors": [[2, x]]}),
+    "SearchConfig prime": lambda x: SearchConfig([x], 2),
+    "SearchConfig bound": lambda x: SearchConfig([2], x),
+}
+
+
+@pytest.mark.parametrize("site", EXACT_INT_SITES)
+@pytest.mark.parametrize("value", [2.5, 2.0, Fraction(5, 2), "2", True], ids=repr)
+def test_integer_inputs_must_be_exact(site, value):
+    # int() would truncate 2.5 to 2 and read True as 1; each site refuses them instead
+    build = EXACT_INT_SITES[site]
+    build(2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(value)

@@ -17,6 +17,7 @@ from cpairs.arith import SIntegerContext, _factor_positive, factor, factor_many
 from cpairs.cli import _search_cells, emit, main
 from cpairs.conditions import AtLeast, DivisibleBy, LOG, condition_element_union, parse_condition, parse_pair_spec
 from cpairs.search import (
+    P1PointRecord,
     PointRecord,
     SearchConfig,
     _accepted_values,
@@ -316,9 +317,30 @@ def test_p1_input_validation():
     with pytest.raises(ValueError):
         enumerate_campana_points_p1([((0, 1), AtLeast(2)), ((0, 1), AtLeast(3))], (), 5)
     with pytest.raises(ValueError):
-        enumerate_campana_points_p1([((2, 4), AtLeast(2))], (), 5)
-    with pytest.raises(ValueError):
         enumerate_campana_points_p1(HALF, (), 0)
+
+
+@pytest.mark.parametrize("point,canonical", [
+    ((0, 0), False), ((-1, 0), False), ((1, -2), False), ((2, 4), False),
+    ((0, 1), True), ((1, 0), True), ((-3, 2), True),
+])
+def test_p1_divisor_points_must_be_canonical(point, canonical):
+    # canonical: gcd(a, b) = 1 and b > 0, or (1, 0); (0, 0) is no point at all
+    for fn in (enumerate_campana_points_p1, p1_scan_count):
+        if canonical:
+            assert fn([(point, AtLeast(2))], (), 3)
+        else:
+            with pytest.raises(ValueError, match="canonical primitive form"):
+                fn([(point, AtLeast(2))], (), 3)
+            with pytest.raises(ValueError, match="canonical primitive form"):
+                fn([((1, 0), AtLeast(2)), (point, AtLeast(2))], (), 3)
+
+
+def test_p1_records_hold_only_what_is_printed():
+    recs = enumerate_campana_points_p1(HALF, (), 10)
+    assert P1PointRecord._fields == ("p", "q", "flags")
+    assert recs[1] == P1PointRecord(0, 1, ("in_support",)) and recs[3] == P1PointRecord(-8, 1, ())
+    assert recs[3].to_json_obj() == {"point": "-8", "height": 8, "verdict": "accept", "flags": []}
 
 
 def test_p1_support_toggle_and_order():

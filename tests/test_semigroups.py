@@ -200,6 +200,8 @@ def test_union_block_data_is_preserved():
 def test_union_rejects_mixed_empty_blocks():
     with pytest.raises(ValueError):
         SemigroupUnion([NumericalSemigroup(), NumericalSemigroup([2])])
+    with pytest.raises(TypeError, match="blocks must be NumericalSemigroup, got int"):
+        SemigroupUnion([3])
     only_empty = SemigroupUnion([NumericalSemigroup()])
     assert only_empty.is_empty and not only_empty.contains(3)
 
