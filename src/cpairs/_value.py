@@ -7,8 +7,8 @@ attribute.  A subclass names its fields in `_fields` (and usually in
 `__slots__`), validates in its own `__init__`, and stores each field with
 `object.__setattr__`; copy and pickle work as they do for a dataclass.  It
 is a plain class, so importing the package builds no class by `exec` and
-does not load `dataclasses`.  `exact_int` checks an integer input where a
-constructor would otherwise truncate it with `int()`.
+does not load `dataclasses`.  `exact_int` and `exact_bool` check an integer
+or a flag input where a constructor would otherwise coerce it.
 """
 
 from __future__ import annotations
@@ -50,4 +50,11 @@ def exact_int(x, what: str) -> int:
     """x itself when it is an int; a float, Fraction, str or bool raises ValueError naming `what`."""
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def exact_bool(x, what: str) -> bool:
+    """x itself when it is a bool; an int, str or None raises ValueError naming `what`."""
+    if type(x) is not bool:
+        raise ValueError(f"{what} must be True or False, got {x!r}")
     return x

@@ -173,12 +173,15 @@ def is_probable_prime(n: int) -> bool:
     """Exact below 10007^2 by the trial primes; above that, Miller-Rabin on the
     first k prime bases, k the least with n < psi_k (4 bases below psi_4 =
     3,215,031,751, then 5, 6, 7, 9, 12 and 13), which is deterministic below
-    psi_13 ~ 3.3e24 (OEIS A014233, Sorenson-Webster 2017); beyond, the 13
-    bases 2..41 and a strong Lucas test, with no known counterexample."""
+    psi_13 ~ 3.3e24 (OEIS A014233, Sorenson-Webster 2017); beyond, one gcd
+    refuses any n a trial prime divides, then the 13 bases 2..41 and a strong
+    Lucas test, with no known counterexample."""
     if n <= _TRIAL_PRIMES[-1]:
         return n in _TRIAL_PRIME_SET
     if n < _PRIME_BELOW:
         return math.gcd(n, _TRIAL_PRODUCT) == 1
+    if n >= _MR_TIERS[-1][0] and math.gcd(n, _TRIAL_PRODUCT) != 1:
+        return False  # one round on a 4,000-digit n takes seconds; below psi_13 the rounds are exact and cheap
     for psi, bases in _MR_TIERS:
         if n < psi:
             break  # past the last tier, `bases` keeps all 13

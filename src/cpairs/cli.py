@@ -488,13 +488,11 @@ def cmd_search(args, opt: Options):
     )
     signs = 2 if cfg.include_negative_units else 1
     _check_scan(signs * (2 * cfg.exponent_bound + 1) ** len(cfg.s_primes), "search")
-    fn = {"2full": search_mod.search_shifted_units_2full,
-          "2or3": search_mod.search_shifted_units_2or3}[args.kind]
-    records = fn(cfg)
-    # emit reads only one of the two generators: json lines come straight from the integers
-    return (r.json_line() for r in records), \
+    records = search_mod.shifted_unit_sweep(cfg, args.kind)
+    # emit reads one of the two generators, so each record is written as the sweep makes it
+    return search_mod.json_lines(records), \
         ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"], \
-        (_search_cells(r.to_json_obj()) for r in records)
+        (_search_cells(search_mod.PointRecord._make(r).to_json_obj()) for r in records)
 
 
 def cmd_p1_enumerate(args, opt: Options):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from ._value import Value, exact_int
+from ._value import Value, exact_bool, exact_int
 from .arith import INFINITY, is_probable_prime
 from .semigroups import (
     NumericalSemigroup,
@@ -229,7 +229,7 @@ class DivisorValuations(Value):
     def __init__(self, contained: bool = False, mults: Mapping[int, int] | Iterable = ()):
         items = mults.items() if isinstance(mults, Mapping) else mults
         pairs = tuple(sorted((exact_int(p, "a prime"), exact_int(m, "a multiplicity")) for p, m in items))
-        if contained and pairs:
+        if exact_bool(contained, "contained") and pairs:
             raise ValueError("a contained point carries no finite multiplicities")
         last = 1
         for p, m in pairs:
@@ -240,7 +240,7 @@ class DivisorValuations(Value):
             if m < 1:
                 raise ValueError(f"multiplicities must be >= 1, got {m} at {p}")
             last = p
-        object.__setattr__(self, "contained", bool(contained))
+        object.__setattr__(self, "contained", contained)
         object.__setattr__(self, "mults", pairs)
 
     def to_json_obj(self) -> dict:

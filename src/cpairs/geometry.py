@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._value import Value, exact_int
+from ._value import Value, exact_bool, exact_int
 from .arith import INFINITY
 from .conditions import LogCondition, condition_element_union, json_field, json_object
 from .semigroups import MAX_APERY
@@ -38,16 +38,17 @@ class FibreDecomposition(Value):
     def __init__(self, multiplicities: Iterable[int] = (), has_exceptional_part: bool = False,
                  empty: bool = False):
         mults = tuple(sorted(exact_int(m, "a multiplicity") for m in multiplicities))
+        exceptional, empty = exact_bool(has_exceptional_part, "has_exceptional_part"), exact_bool(empty, "empty")
         for m in mults:
             if m < 1:
                 raise ValueError(f"multiplicities must be >= 1, got {m}")
-        if empty and (mults or has_exceptional_part):
+        if empty and (mults or exceptional):
             raise ValueError("an empty fibre has no components")
         if not empty and not mults:
             raise ValueError("a nonempty fibre needs at least one dominating component")
         object.__setattr__(self, "multiplicities", mults)
-        object.__setattr__(self, "has_exceptional_part", bool(has_exceptional_part))
-        object.__setattr__(self, "empty", bool(empty))
+        object.__setattr__(self, "has_exceptional_part", exceptional)
+        object.__setattr__(self, "empty", empty)
 
 
 def fibre_multiplicities(fibre: FibreDecomposition):
@@ -140,8 +141,8 @@ def weakly_special_checklist(
             witness = lbl
             break
     return ChecklistReport(
-        base_weakly_special=bool(base_weakly_special),
-        weakly_special_fibres_dense=bool(weakly_special_fibres_dense),
+        base_weakly_special=exact_bool(base_weakly_special, "base_weakly_special"),
+        weakly_special_fibres_dense=exact_bool(weakly_special_fibres_dense, "weakly_special_fibres_dense"),
         no_divisible_fibre=witness is None,
         divisible_witness=witness,
     )

@@ -17,14 +17,15 @@ and the cube:
 * `search_shifted_units_2or3` uses `split_coprime` (every valuation outside S
   lies in 2Z or 3Z) and lifts to a coprime point of the quotient model Y.
 
-Records stay integers from the candidate to the output line: a
-`PointRecord` holds x = num / den and the shift's (sign, factors), so a
-reject builds no `Fraction` and no `PrimeFactorization` (they are built only
-when `x` or `shifted` is read), and `PointRecord.json_line` formats its
-canonical JSON line from those integers.  Every accepted record is still
-re-verified on the spot (its validated shift multiplies out to x - 1, and
-the lift passes the product identity, the unit condition and coprimality for
-Y); a failure there is a hard internal error, not a rejection.  Candidates
+Records stay integers from the candidate to the output line: the one
+generator `shifted_unit_sweep` yields each as a tuple in `PointRecord` field
+order, x = num / den and the shift's (sign, factors), so a reject builds no
+`Fraction` and no `PrimeFactorization` (a `PointRecord` builds them only when
+`x` or `shifted` is read), and `json_lines`, the one encoder, formats the
+canonical JSON lines from those integers.  Every accepted record is still
+re-verified before it is yielded (its validated shift multiplies out to x - 1,
+and the lift passes the product identity, the unit condition and coprimality
+for Y); a failure there is a hard internal error, not a rejection.  Candidates
 come in the order of the integer key (u, v, sign), which is (|numerator|,
 denominator, sign) with sign ascending, so -x precedes x: u walks the sorted
 units over S and v the sorted units coprime to u, so nothing is sorted, and
@@ -58,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._value import Value, exact_int
+from ._value import Value, exact_bool, exact_int
 from .arith import (
     PrimeFactorization,
     SIntegerContext,
@@ -103,8 +104,9 @@ class SearchConfig(Value):
             raise ValueError("exponent bound must be >= 0")
         object.__setattr__(self, "s_primes", ps)
         object.__setattr__(self, "exponent_bound", exponent_bound)
-        object.__setattr__(self, "include_negative_units", bool(include_negative_units))
-        object.__setattr__(self, "include_support_points", bool(include_support_points))
+        for name, flag in (("include_negative_units", include_negative_units),
+                           ("include_support_points", include_support_points)):
+            object.__setattr__(self, name, exact_bool(flag, name))
 
     def context(self) -> SIntegerContext:
         return SIntegerContext(self.s_primes)
@@ -155,23 +157,8 @@ class PointRecord(NamedTuple):
         return obj
 
     def json_line(self) -> str:
-        """`json.dumps(self.to_json_obj())`, formatted from the integers.
-
-        Every value is digits, "-", "/" or a fixed word, so nothing needs escaping.
-        """
-        num, den, shift, verdict, target, witness, lift, flags = self
-        x = f"{num}/{den}" if den != 1 else str(num)
-        if shift is None:
-            shift = "null"
-        else:
-            factors = ", ".join([f"[{p}, {e}]" for p, e in shift[1]])
-            shift = f'{{"sign": {shift[0]}, "factors": [{factors}]}}'
-        extra = "" if witness is None else f', "witness": {witness}'
-        if lift is not None:
-            extra += f', "lift": ["{format_rational(lift[0])}", "{format_rational(lift[1])}"]'
-        flags = ", ".join([f'"{f}"' for f in flags])
-        return (f'{{"x": "{x}", "shift": {shift}, "verdict": "{verdict}"{extra}, '
-                f'"target": "{target}", "flags": [{flags}]}}')
+        """`json.dumps(self.to_json_obj())`, by `json_lines`."""
+        return next(json_lines((self,)))
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "PointRecord":
@@ -191,6 +178,28 @@ class PointRecord(NamedTuple):
             lift=None if lift is None else (parse_rational(lift[0]), parse_rational(lift[1])),
             flags=tuple(obj.get("flags", ())),
         )
+
+
+def json_lines(records: Iterable[tuple]) -> Iterator[str]:
+    """`json.dumps(PointRecord._make(r).to_json_obj())` of each record, formatted from its integers.
+
+    Each (prime, exponent) entry's text is made once per call: x and 1/x
+    share the factors of t, and the primes of S recur in every shift.  Every
+    value is digits, "-", "/" or a fixed word, so nothing needs escaping.
+    """
+    entries: dict = {}
+    for num, den, shift, verdict, target, witness, lift, flags in records:
+        x = f"{num}/{den}" if den != 1 else num
+        if shift is not None:
+            factors = ", ".join([entries.get(pe) or entries.setdefault(pe, "[%d, %d]" % pe) for pe in shift[1]])
+            shift = f'{{"sign": {shift[0]}, "factors": [{factors}]}}'
+        extra = "" if witness is None else f', "witness": {witness}'
+        if lift is not None:
+            extra += f', "lift": ["{format_rational(lift[0])}", "{format_rational(lift[1])}"]'
+        if flags:
+            flags = ", ".join([f'"{f}"' for f in flags])
+        yield (f'{{"x": "{x}", "shift": {shift or "null"}, "verdict": "{verdict}"{extra}, '
+               f'"target": "{target}", "flags": [{flags or ""}]}}')
 
 
 class PointMembership(NamedTuple):
@@ -257,26 +266,6 @@ def _candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, tuple[tuple[
                 yield sign, u, v, den
 
 
-def _record(sign: int, u: int, v: int, den, ctx: SIntegerContext, target: str, decompose,
-            shifts: dict, witnesses: dict) -> PointRecord:
-    t = sign * u - v
-    if t == 0:
-        return PointRecord(1, 1, None, "accept", target, None, (Fraction(0), Fraction(1)), ("in_support",))
-    num = shifts[abs(t)]
-    # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
-    shift = (1 if t > 0 else -1, tuple(sorted(num + den)) if den else num)
-    witness = witnesses[abs(t)]
-    if witness is not None:
-        # rejects dominate a sweep, so they stay integers: no Fraction, no lift, no raise
-        return PointRecord(sign * u, v, shift, "reject", target, witness)
-    x = Fraction(sign * u, v)
-    if PrimeFactorization(*shift).value() != x - 1:
-        raise AssertionError(f"shift factorization of x = {x} does not multiply out to x - 1")
-    a, b = decompose(1 - x, ctx)
-    _assert_lift(x, a, b, ctx, want_coprime=target == "Y")
-    return PointRecord(sign * u, v, shift, "accept", target, None, (a, b))
-
-
 def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, want_coprime: bool) -> None:
     # an accepted candidate that fails to lift exposes a bug, so fail loudly
     if a * a * b * b * b != 1 - x:
@@ -288,24 +277,48 @@ def _assert_lift(x: Fraction, a: Fraction, b: Fraction, ctx: SIntegerContext, wa
         raise AssertionError(f"coprime lift of x = {x} is not a quotient-model point")
 
 
-def _run_search(cfg: SearchConfig, target: str, split, decompose) -> list[PointRecord]:
+def shifted_unit_sweep(cfg: SearchConfig, kind: str) -> Iterator[tuple]:
+    """The records of the "2full" or "2or3" sweep as they are made, in output order.
+
+    Each is a plain tuple in `PointRecord` field order (`PointRecord._make`
+    gives the record); every accept is re-verified before it is yielded.
+    """
+    target, split, decompose = {"2full": ("X", split_2full, decompose_square_cube),
+                                "2or3": ("Y", split_coprime, decompose_coprime_square_cube)}[kind]
     ctx = cfg.context()
-    # (u, v, sign) orders exactly like PointRecord.sort_key; (1, 1, 1) is x = 1
-    cands = [c for c in _candidates(cfg) if cfg.include_support_points or c[:3] != (1, 1, 1)]
-    shifts = factor_many({abs(sign * u - v) for sign, u, v, _ in cands} - {0})
-    witnesses = {t: next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
-                 for t, num in shifts.items()}
-    return [_record(*c, ctx, target, decompose, shifts, witnesses) for c in cands]
+    # x and 1/x share |t|: one factor_many batch, one witness per |t|, before the first record
+    ts = {abs(sign * u - v) for sign, u, v, _ in _candidates(cfg)} - {0}
+    shifts = {t: (num, next((p for p, e in num if p not in ctx.primes and split(e) is None), None))
+              for t, num in factor_many(ts).items()}
+    for sign, u, v, den in _candidates(cfg):
+        t = sign * u - v
+        if t == 0:  # x = 1
+            if cfg.include_support_points:
+                yield 1, 1, None, "accept", target, None, (Fraction(0), Fraction(1)), ("in_support",)
+            continue
+        num, witness = shifts[abs(t)]
+        # gcd(t, v) = gcd(u, v) = 1, so v's primes are new to the shift
+        shift = (1 if t > 0 else -1, tuple(sorted(num + den)) if den else num)
+        if witness is not None:
+            # rejects dominate a sweep, so they stay integers: no Fraction, no lift, no raise
+            yield sign * u, v, shift, "reject", target, witness, None, ()
+            continue
+        x = Fraction(sign * u, v)
+        if PrimeFactorization(*shift).value() != x - 1:
+            raise AssertionError(f"shift factorization of x = {x} does not multiply out to x - 1")
+        a, b = decompose(1 - x, ctx)
+        _assert_lift(x, a, b, ctx, want_coprime=target == "Y")
+        yield sign * u, v, shift, "accept", target, None, (a, b), ()
 
 
 def search_shifted_units_2full(cfg: SearchConfig) -> list[PointRecord]:
     """Sweep S-units x, accepting those with x - 1 2-full away from S."""
-    return _run_search(cfg, "X", split_2full, decompose_square_cube)
+    return list(map(PointRecord._make, shifted_unit_sweep(cfg, "2full")))
 
 
 def search_shifted_units_2or3(cfg: SearchConfig) -> list[PointRecord]:
     """Sweep S-units x, accepting when each shift valuation outside S is in 2Z or 3Z."""
-    return _run_search(cfg, "Y", split_coprime, decompose_coprime_square_cube)
+    return list(map(PointRecord._make, shifted_unit_sweep(cfg, "2or3")))
 
 
 # -- bounded-height points on the projective line ------------------------------

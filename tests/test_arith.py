@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +127,21 @@ def test_psi_13_passes_all_13_bases():
     assert mr(PSI[13], [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
     assert not is_probable_prime(PSI[13])
     assert factor(PSI[13]) == PrimeFactorization(1, ((1287836182261, 1), (2575672364521, 1)))
+
+
+def test_a_trial_factor_refuses_a_huge_key_at_once():
+    # 3 divides 10^4000 - 1, so one gcd with the trial product answers before any modular power
+    start = time.perf_counter()
+    assert not is_probable_prime(10**4000 - 1)
+    assert not is_probable_prime(9973 * (2**521 - 1))
+    assert is_probable_prime(2**521 - 1)
+    assert time.perf_counter() - start < 2
+
+
+@given(st.sampled_from(_TRIAL_PRIMES), st.integers(min_value=10007**2 // 2, max_value=2**200))
+def test_a_trial_factor_is_never_prime(p, m):
+    # below psi_13 the exact bases refuse it, past psi_13 the gcd does
+    assert not is_probable_prime(p * m)
 
 
 @pytest.mark.parametrize("start", [PSI[13], 7 * 10**27, 2**127 - 300])

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,6 +37,19 @@ def test_closed_pipe_exits_2_without_traceback():
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
     with subprocess.Popen([sys.executable, "-m", "cpairs.cli", "search", "2full", "--s", "2,3,5",
                            "--bound", "6"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["x"] == "-1"
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == ["error: output closed before the command finished"]
+
+
+def test_closed_pipe_mid_sweep_exits_2_without_traceback():
+    # the sweep writes each row as it is made, so the reader leaves while records are still being built
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    with subprocess.Popen([sys.executable, "-m", "cpairs.cli", "search", "2full", "--s", "2,3,5",
+                           "--bound", "12"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
@@ -128,6 +142,16 @@ def test_cpair_check_malformed_point_shape_exits_2(capsys, point, message):
     code, out, err = run(capsys, "cpair", "check", "--pair", "D: >=2", "--point", point)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_cpair_check_refuses_a_huge_composite_key_at_once(capsys):
+    # 3 divides the 4,000-digit key, so the trial gcd refuses it before any Miller-Rabin round
+    key = "9" * 4000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cpair", "check", "--pair", "D: >=2", "--point", f'{{"D": {{"mults": [[{key}, 2]]}}}}')
+    assert time.perf_counter() - start < 3
+    assert (code, out) == (2, "")
+    assert err == f"error: bad point: divisor 'D': multiplicity key {key} is not prime\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,7 +31,7 @@ from cpairs.conditions import (
     vector_to_json_obj,
 )
 from cpairs.arith import INFINITY, PrimeFactorization, SIntegerContext
-from cpairs.geometry import FibreDecomposition, campana_weights, classify_xa_family
+from cpairs.geometry import FibreDecomposition, campana_weights, classify_xa_family, weakly_special_checklist
 from cpairs.search import SearchConfig
 from cpairs.semigroups import NumericalSemigroup, parse_union
 
@@ -291,3 +291,36 @@ def test_integer_inputs_must_be_exact(site, value):
     build(2)
     with pytest.raises(ValueError, match="must be an integer"):
         build(value)
+
+
+# one call per site that reads a flag, with x in the place under test; x = False is valid
+EXACT_BOOL_SITES = {
+    "DivisorValuations contained": lambda x: DivisorValuations(contained=x),
+    "FibreDecomposition has_exceptional_part": lambda x: FibreDecomposition([2], has_exceptional_part=x),
+    "FibreDecomposition empty": lambda x: FibreDecomposition([2], empty=x),
+    "weakly_special_checklist base": lambda x: weakly_special_checklist(x, True, [("D", FibreDecomposition([1]))]),
+    "weakly_special_checklist dense": lambda x: weakly_special_checklist(True, x, [("D", FibreDecomposition([1]))]),
+    "SearchConfig negative units": lambda x: SearchConfig([2], 1, include_negative_units=x),
+    "SearchConfig support points": lambda x: SearchConfig([2], 1, include_support_points=x),
+}
+
+
+@pytest.mark.parametrize("site", EXACT_BOOL_SITES)
+@pytest.mark.parametrize("value", ["no", 1, 0, None], ids=repr)
+def test_flag_inputs_must_be_exact(site, value):
+    # bool() would read "no" and 1 as True, and 0 and None as False; each site refuses them instead
+    build = EXACT_BOOL_SITES[site]
+    build(False)
+    with pytest.raises(ValueError, match="must be True or False"):
+        build(value)
+
+
+def test_flags_are_kept_as_given():
+    assert DivisorValuations(contained=True).contained is True
+    fibre = FibreDecomposition([2], has_exceptional_part=True)
+    assert fibre.has_exceptional_part is True and fibre.empty is False
+    assert FibreDecomposition(empty=True).empty is True
+    report = weakly_special_checklist(False, True, [("D", FibreDecomposition([1]))])
+    assert (report.base_weakly_special, report.weakly_special_fibres_dense) == (False, True)
+    cfg = SearchConfig([2], 1, include_negative_units=False)
+    assert (cfg.include_negative_units, cfg.include_support_points) == (False, True)

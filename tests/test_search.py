@@ -1,5 +1,6 @@
 """Shifted-unit sweeps, lifts, and bounded-height line points."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -29,8 +30,10 @@ from cpairs.search import (
     p1_scan_count,
     parse_projective_point,
     format_projective_point,
+    json_lines,
     search_shifted_units_2full,
     search_shifted_units_2or3,
+    shifted_unit_sweep,
     verify_point_on_X,
 )
 
@@ -223,6 +226,75 @@ def test_csv_and_table_agree_with_json_lines(kind, capsys):
     table = capsys.readouterr().out
     emit([], header, "table", rows=cells)
     assert table == capsys.readouterr().out
+
+
+SWEEP_COLUMNS = ["x", "shift", "verdict", "witness", "lift_a", "lift_b", "target", "flags"]
+
+
+def _list_path_output(records, fmt: str) -> str:
+    """What the CLI printed when it built the record list first: json.dumps of each
+    record's JSON object, or csv/table rows of its `_search_cells`."""
+    if fmt == "json":
+        return "".join(json.dumps(r.to_json_obj()) + "\n" for r in records)
+    cells = [_search_cells(r.to_json_obj()) for r in records]
+    out = io.StringIO()
+    if fmt == "csv":
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(SWEEP_COLUMNS)
+        w.writerows([row.get(c, "") for c in SWEEP_COLUMNS] for row in cells)
+    else:
+        with contextlib.redirect_stdout(out):
+            emit([], SWEEP_COLUMNS, "table", rows=cells)
+    return out.getvalue()
+
+
+def _cli_output(kind: str, cfg: SearchConfig, fmt: str) -> str:
+    argv = ["search", kind, "--s", ",".join(map(str, cfg.s_primes)), "--bound", str(cfg.exponent_bound),
+            "--format", fmt]
+    argv += ["--no-negative"] * (not cfg.include_negative_units) + ["--no-support"] * (not cfg.include_support_points)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=_small_sweeps(), kind=st.sampled_from(sorted(SWEEPS)), fmt=st.sampled_from(["json", "csv", "table"]))
+def test_streamed_cli_output_equals_the_list_path(cfg, kind, fmt):
+    # the CLI writes each row as the sweep makes it; the reference builds the public list first
+    assert _cli_output(kind, cfg, fmt) == _list_path_output(SWEEPS[kind](cfg), fmt)
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEPS))
+@pytest.mark.parametrize("negative,support", [(True, True), (True, False), (False, True), (False, False)])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_streamed_cli_output_equals_the_list_path_at_s235(kind, negative, support, fmt):
+    cfg = SearchConfig((2, 3, 5), 3, include_negative_units=negative, include_support_points=support)
+    assert _cli_output(kind, cfg, fmt) == _list_path_output(SWEEPS[kind](cfg), fmt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_small_sweeps(), kind=st.sampled_from(sorted(SWEEPS)))
+def test_json_lines_equals_json_dumps_record_by_record(cfg, kind):
+    # one call over the whole sweep, so the (prime, exponent) texts made once are shared across records
+    records = SWEEPS[kind](cfg)
+    want = [json.dumps(r.to_json_obj()) for r in records]
+    assert list(json_lines(records)) == want
+    assert list(json_lines(shifted_unit_sweep(cfg, kind))) == want
+    assert all(type(r) is PointRecord for r in records)
+
+
+@pytest.mark.parametrize("kind,decomposer", [("2full", "decompose_square_cube"),
+                                             ("2or3", "decompose_coprime_square_cube")])
+def test_a_wrong_lift_fails_loudly_on_both_paths(kind, decomposer, monkeypatch, capsys):
+    # x = -8 is accepted by both sweeps at S={2} b=4; a lift that does not multiply out is a bug
+    monkeypatch.setattr(search, decomposer, lambda u, ctx: (Fraction(1), Fraction(1)))
+    with pytest.raises(AssertionError, match="lift identity broken"):
+        SWEEPS[kind](S2B4)
+    for fmt in ("json", "csv", "table"):
+        with pytest.raises(AssertionError, match="lift identity broken"):
+            main(["search", kind, "--s", "2", "--bound", "4", "--format", fmt])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("primes,bound", [((2, 3, 5), 12), ((2, 3, 5, 7), 8)])
