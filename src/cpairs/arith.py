@@ -49,7 +49,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ._value import Value, exact_int
 
@@ -348,16 +348,14 @@ def _product_tree(xs: list[int]) -> list[list[int]]:
     return tree
 
 
-def _residues(ns: list[int], product: int) -> list[int]:
-    """[product % n for n in ns], reduced down a product tree of each chunk of 128 values."""
-    out = []
+def _residues(ns: list[int], product: int) -> Iterator[int]:
+    """product % n for each n in ns, reduced down a product tree of each chunk of 128 values."""
     for i in range(0, len(ns), 128):
         tree = _product_tree(ns[i : i + 128])
         residues = [product]
         for level in reversed(tree):
             residues = [residues[j // 2] % x for j, x in enumerate(level)]
-        out += residues
-    return out
+        yield from residues
 
 
 @cache
@@ -377,23 +375,25 @@ def factor_many(ns: Iterable[int]) -> dict[int, tuple[tuple[int, int], ...]]:
     the primes in (10^4, 10^5), built on first use: the gcd of a residue with
     its cofactor is the product of the cofactor's distinct primes in that
     range, which `_split` takes apart at once, and once they are divided out
-    a cofactor below 100003^2 is prime.  The LRU cache of `_factor_positive`
-    is neither read nor filled.
+    a cofactor below 100003^2 is prime.  Each n's tuple enters the returned
+    dict as soon as n is done, after whichever stage finishes it.  The LRU
+    cache of `_factor_positive` is neither read nor filled.
     """
     ns = list(ns)
     if ns and min(ns) < 1:
         raise ValueError(f"factor_many expects n >= 1, got {min(ns)}")
     found = {}
-    big = []  # (factors so far, cofactor >= _PRIME_BELOW)
+    big = []  # (n, factors so far, cofactor >= _PRIME_BELOW)
     for n, r in zip(ns, _residues(ns, _TRIAL_PRODUCT)):
         out, m = _trial(n, math.gcd(r, n))
-        found[n] = out
         if m >= _PRIME_BELOW:
-            big.append((out, m))
-        elif m > 1:
+            big.append((n, out, m))
+            continue
+        if m > 1:
             out[m] = 1
+        found[n] = tuple(sorted(out.items()))
     if big:
-        for (out, m), r in zip(big, _residues([m for _, m in big], _stage2_product())):
+        for (n, out, m), r in zip(big, _residues([m for *_, m in big], _stage2_product())):
             h = math.gcd(r, m)
             if h > 1:
                 primes: dict[int, int] = {}
@@ -402,7 +402,8 @@ def factor_many(ns: Iterable[int]) -> dict[int, tuple[tuple[int, int], ...]]:
                     m = _divide_out(m, p, out)
             if m > 1:
                 _split(m, out, _STAGE2_PRIME_BELOW)
-    return {n: tuple(sorted(out.items())) for n, out in found.items()}
+            found[n] = tuple(sorted(out.items()))
+    return found
 
 
 class PrimeFactorization(Value):
@@ -492,6 +493,8 @@ class SIntegerContext(Value):
 
     def strip(self, n: int) -> int:
         """Divide all S-primes out of n > 0."""
+        if n < 1:
+            raise ValueError(f"strip expects n >= 1, got {n}")
         for p in self.primes:
             while n % p == 0:
                 n //= p

@@ -404,12 +404,6 @@ class DivisorConfiguration(Value):
             out.append(tuple(sorted(comp)))
         return out
 
-    def multiplicity(self, cid: str) -> int:
-        for c, m in self.components:
-            if c == cid:
-                return m
-        raise KeyError(cid)
-
     def to_json_obj(self) -> dict:
         return {"components": [[c, m] for c, m in self.components],
                 "edges": [[a, b] for a, b in self.edges]}
@@ -437,9 +431,9 @@ def check_generalized_configuration(union: SemigroupUnion, cfg: DivisorConfigura
     the assignment (first admissible block per component); rejections name the
     first component admitting no block.
     """
-    assignment = []
+    assignment, mult = [], dict(cfg.components)
     for comp in cfg.connected_components():
-        mults = [cfg.multiplicity(c) for c in comp]
+        mults = [mult[c] for c in comp]
         block = None
         for i, b in enumerate(union.blocks, start=1):
             if all(b.contains(m) for m in mults):

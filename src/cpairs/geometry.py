@@ -360,8 +360,9 @@ def campana_space_report(cond) -> CampanaSpaceReport:
     """
     if isinstance(cond, LogCondition):
         raise ValueError("a log condition has no Campana space model")
-    atoms = condition_element_union(cond).atoms_per_block()
-    _check_rank(sum(map(len, atoms)))
+    blocks = condition_element_union(cond).atoms_per_block()
+    _check_rank(sum(map(len, blocks)))  # before an ordinary block's atoms are listed
+    atoms = tuple(map(tuple, blocks))
     flat = tuple(x for blk in atoms for x in blk)
     if not flat:
         raise ValueError("condition accepts no finite multiplicity")

@@ -209,16 +209,9 @@ class PointMembership(NamedTuple):
 
 
 def _coprime_outside_s(a: Fraction, b: Fraction, ctx: SIntegerContext) -> bool:
-    """gcd of a and b away from S is trivial (the gcd is an S-unit)."""
-    if a == 0 and b == 0:
-        return False
-    if a == 0:
-        return is_s_unit(b, ctx)
-    if b == 0:
-        return is_s_unit(a, ctx)
-    na = ctx.strip(abs(a.numerator))
-    nb = ctx.strip(abs(b.numerator))
-    return math.gcd(na, nb) == 1
+    """gcd of the S-integers a and b away from S is trivial (the gcd is an S-unit)."""
+    g = math.gcd(a.numerator, b.numerator)
+    return g != 0 and ctx.strip(g) == 1
 
 
 def verify_point_on_X(a: "Fraction | int", b: "Fraction | int", ctx: SIntegerContext) -> PointMembership:
@@ -286,10 +279,10 @@ def shifted_unit_sweep(cfg: SearchConfig, kind: str) -> Iterator[tuple]:
     target, split, decompose = {"2full": ("X", split_2full, decompose_square_cube),
                                 "2or3": ("Y", split_coprime, decompose_coprime_square_cube)}[kind]
     ctx = cfg.context()
-    # x and 1/x share |t|: one factor_many batch, one witness per |t|, before the first record
-    ts = {abs(sign * u - v) for sign, u, v, _ in _candidates(cfg)} - {0}
-    shifts = {t: (num, next((p for p, e in num if p not in ctx.primes and split(e) is None), None))
-              for t, num in factor_many(ts).items()}
+    # x and 1/x share |t|: one factor_many batch, whose table takes one witness per |t| in place
+    shifts = factor_many({t for sign, u, v, _ in _candidates(cfg) if (t := abs(sign * u - v))})
+    for t, num in shifts.items():
+        shifts[t] = num, next((p for p, e in num if p not in ctx.primes and split(e) is None), None)
     for sign, u, v, den in _candidates(cfg):
         t = sign * u - v
         if t == 0:  # x = 1

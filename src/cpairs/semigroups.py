@@ -32,7 +32,7 @@ import bisect
 import math
 import re
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._value import Value, exact_int
 
@@ -218,8 +218,9 @@ class SemigroupUnion(Value):
     def is_cofinite(self) -> bool:
         return math.gcd(*(b.gcd for b in self.blocks)) == 1
 
-    def atoms_per_block(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b.atoms() for b in self.blocks)
+    def atoms_per_block(self) -> tuple[Sequence[int], ...]:
+        """Each block's atoms; those of an ordinary `<m..` are its generators, a range m..2m-1."""
+        return tuple(b.generators if type(b.generators) is range else b.atoms() for b in self.blocks)
 
     def __repr__(self) -> str:
         return f"SemigroupUnion({list(self.blocks)})"

@@ -10,6 +10,7 @@ normal form of sequential-Euclid rows.
 
 from fractions import Fraction
 import itertools
+import math
 
 import sympy
 
@@ -118,8 +119,6 @@ def naive_atoms(generators) -> tuple[int, ...]:
 
 def naive_frobenius(generators) -> int:
     """Largest gap, scanning far enough past where gaps can occur."""
-    import math
-
     assert math.gcd(*generators) == 1
     bound = max(generators) * min(generators) + 2 * max(generators)
     els = naive_semigroup_elements(generators, bound)
@@ -179,6 +178,28 @@ def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
 
 
 # -- shifted-unit search verdicts, the long way ----------------------------------
+
+
+def coprime_outside_s_by_cases(a: Fraction, b: Fraction, s_primes) -> bool:
+    """Is the gcd of the S-integers a and b an S-unit?  Split on which of them is 0."""
+
+    def strip(n: int) -> int:  # n != 0
+        for p in s_primes:
+            while n % p == 0:
+                n //= p
+        return abs(n)
+
+    def is_unit(x: Fraction) -> bool:
+        return x != 0 and strip(x.numerator) == 1 and strip(x.denominator) == 1
+
+    if a == 0 and b == 0:
+        return False
+    if a == 0:
+        return is_unit(b)
+    if b == 0:
+        return is_unit(a)
+    return math.gcd(strip(a.numerator), strip(b.numerator)) == 1
+
 
 
 def _shift_ok_2full(vals: dict[int, int], s_primes) -> "int | None":

@@ -286,6 +286,14 @@ def test_s_integer_and_s_unit():
         SIntegerContext([4])
 
 
+def test_strip_refuses_nonpositive():
+    # 0 % p == 0 for every p, so stripping 0 would divide for ever
+    assert S23.strip(72 * 5) == 5 and S23.strip(1) == 1 and Z.strip(12) == 12
+    for n in (0, -6):
+        with pytest.raises(ValueError, match="n >= 1"):
+            S2.strip(n)
+
+
 def test_m_full_basics():
     assert is_m_full(0, 2, Z)  # v_p(0) = infinity everywhere
     assert is_m_full(72, 2, Z)

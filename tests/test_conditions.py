@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,16 @@ def test_configuration_validation():
         DivisorConfiguration([("A", 2)], [("A", "B")])
     with pytest.raises(ValueError):
         DivisorConfiguration([("A", 0)], [])
+
+
+def test_configuration_of_many_singletons_in_linear_time():
+    # one component per vertex, no edges: each multiplicity is read from one dict, not a scan
+    cfg = DivisorConfiguration([(f"C{i}", (2, 3, 4, 6)[i % 4]) for i in range(30000)], [])
+    start = time.perf_counter()
+    v = check_generalized_configuration(parse_union("<2>|<3>"), cfg)
+    assert time.perf_counter() - start < 2
+    assert v.accepted and len(v.assignment) == 30000
+    assert v.assignment[:4] == ((("C0",), 1), (("C1",), 2), (("C2",), 1), (("C3",), 1))
 
 
 def test_configuration_json_roundtrip():

@@ -37,7 +37,8 @@ from cpairs.search import (
     verify_point_on_X,
 )
 
-from _oracles import box_p1_records, oracle_p1_accepts, oracle_search, sorted_sweep_candidates
+from _oracles import (
+    box_p1_records, coprime_outside_s_by_cases, oracle_p1_accepts, oracle_search, sorted_sweep_candidates)
 
 S2B4 = SearchConfig(s_primes=[2], exponent_bound=4)
 
@@ -304,6 +305,19 @@ def test_factor_many_on_every_sweep_shift(primes, bound):
     assert factor_many(ts) == {t: _factor_positive(t) for t in ts}
 
 
+@pytest.mark.parametrize("kind", ["2full", "2or3"])
+@pytest.mark.parametrize("primes,bound", [((2, 3, 5), 6), ((2, 3, 5, 7), 3)])
+def test_inverse_shares_verdict_and_witness(kind, primes, bound):
+    # 1 - 1/x = -(1 - x)/x with x an S-unit: x and 1/x share |t|, so one shift table entry
+    recs = {r.x: r for r in SWEEPS[kind](SearchConfig(primes, bound))}
+    for x, r in recs.items():
+        inv = recs[1 / x]
+        assert (inv.verdict, inv.witness_prime) == (r.verdict, r.witness_prime), x
+        if inv.verdict == "accept":
+            a, b = inv.lift
+            assert a * a * b**3 == 1 - 1 / x, x
+
+
 # -- membership checks ------------------------------------------------------------
 
 
@@ -331,6 +345,25 @@ def test_verify_point_coprimality():
 def test_verify_point_rejects_non_s_integers():
     with pytest.raises(ValueError):
         verify_point_on_X(Fraction(1, 3), 1, SIntegerContext([2]))
+
+
+@st.composite
+def _s_and_two_s_integers(draw):
+    s_primes = draw(st.sets(st.sampled_from([2, 3, 5, 7, 11])))
+
+    def s_integer():
+        num = draw(st.one_of(st.just(0), st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=5).map(math.prod)))
+        den = math.prod(draw(st.lists(st.sampled_from(sorted(s_primes)), max_size=3))) if s_primes else 1
+        return Fraction(draw(st.sampled_from([1, -1])) * num, den)
+
+    return s_primes, s_integer(), s_integer()
+
+
+@given(_s_and_two_s_integers())
+def test_coprime_outside_s_matches_the_case_split(drawn):
+    s_primes, a, b = drawn
+    got = search._coprime_outside_s(a, b, SIntegerContext(s_primes))
+    assert got == coprime_outside_s_by_cases(a, b, s_primes)
 
 
 def test_verify_point_shared_factor():
