@@ -434,9 +434,9 @@ def _weights_obj(w: geometry.CampanaWeightData) -> dict:
     return {
         "a": list(w.a),
         "blocks": list(w.block_sizes),
-        "kernel_basis": [list(r) for r in w.kernel_basis],
+        "kernel_basis": w.kernel_basis,  # tuples, which json writes as lists, uncopied
         "splitting": None if w.splitting is None else list(w.splitting),
-        "strata": [list(s) for s in w.strata],
+        "strata": w.strata,
         "inf": w.inf_mult,
         "gcd": w.gcd_mult,
     }
@@ -503,7 +503,9 @@ def cmd_p1_enumerate(args, opt: Options):
     _check_scan(search_mod.p1_scan_count(divisors, s_primes, height), "p1 enumerate")
     records = search_mod.enumerate_campana_points_p1(
         divisors, s_primes, height, include_support_points=not args.no_support)
-    return (r.to_json_obj() for r in records), ["point", "height", "verdict", "flags"], None
+    # as in cmd_search: json writes each record's line, csv/table its flattened object
+    return (r.json_line() for r in records), ["point", "height", "verdict", "flags"], \
+        (flat(r.to_json_obj()) for r in records)
 
 
 def cmd_point_verify(args, opt: Options):

@@ -98,13 +98,16 @@ class CPairSpec(Value):
 
     `unions` holds each condition's element union, built once here (which
     also type-checks the condition) so that point checks reuse its
-    membership structure; it takes no part in equality, hash or repr.
+    membership structure, and `label_set` the labels that every valuation
+    vector checked against the pair must carry; neither takes part in
+    equality, hash or repr.
     """
 
-    __slots__ = ("divisors", "unions")
+    __slots__ = ("divisors", "unions", "label_set")
     _fields = ("divisors",)
     divisors: tuple[tuple[str, object], ...]
     unions: tuple[SemigroupUnion, ...]
+    label_set: frozenset[str]
 
     def __init__(self, divisors: Iterable[tuple[str, object]]):
         entries = tuple((str(lbl), cond) for lbl, cond in divisors)
@@ -116,6 +119,7 @@ class CPairSpec(Value):
             unions.append(condition_element_union(cond))
         object.__setattr__(self, "divisors", entries)
         object.__setattr__(self, "unions", tuple(unions))
+        object.__setattr__(self, "label_set", frozenset(seen))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.divisors)
@@ -220,6 +224,11 @@ class DivisorValuations(Value):
     Either the point is contained in the divisor (`contained=True`, no finite
     multiplicities), or it meets the divisor with multiplicity mults[p] >= 1
     at finitely many primes p (primes with multiplicity 0 are omitted).
+
+    The constructor validates its input (exact types, prime keys, no
+    repeats, multiplicities >= 1), as JSON and library input need.
+    `_of_factors` skips that for the prime-ascending tuple of (prime,
+    exponent >= 1) pairs that `factor` produced, which already has that form.
     """
 
     __slots__ = _fields = ("contained", "mults")
@@ -242,6 +251,15 @@ class DivisorValuations(Value):
             last = p
         object.__setattr__(self, "contained", contained)
         object.__setattr__(self, "mults", pairs)
+
+    @classmethod
+    def _of_factors(cls, mults: tuple[tuple[int, int], ...]) -> "DivisorValuations":
+        """A point off the divisor with these multiplicities, taken as given: ascending
+        primes, each exponent >= 1, as `factor` returns them with the primes of S left out."""
+        dv = object.__new__(cls)
+        object.__setattr__(dv, "contained", False)
+        object.__setattr__(dv, "mults", mults)
+        return dv
 
     def to_json_obj(self) -> dict:
         return {"contained": self.contained, "mults": [[p, m] for p, m in self.mults]}
@@ -307,16 +325,20 @@ def _check_divisor(label: str, cond, union: SemigroupUnion, data: DivisorValuati
 
 
 def _check_point(spec: CPairSpec, vec: Mapping[str, DivisorValuations], allowed) -> PointVerdict:
-    if set(vec.keys()) != set(spec.labels()):
+    """Judge vec against every divisor of spec, whose conditions must be of the `allowed` kinds
+    (or LOG; None allows any).  vec must carry exactly the pair's labels, compared with the
+    spec's `label_set`; each divisor's data is judged by `_check_divisor`."""
+    if vec.keys() != spec.label_set:
         raise ValueError(
             f"valuation vector labels {sorted(vec.keys())} do not match pair labels {sorted(spec.labels())}"
         )
-    for lbl, cond in spec.divisors:
-        if allowed is not None and not isinstance(cond, (*allowed, LogCondition)):
-            raise ValueError(f"divisor {lbl!r}: condition {format_condition(cond)!r} not allowed here")
-    verdicts = tuple(_check_divisor(lbl, cond, union, vec[lbl])
-                     for (lbl, cond), union in zip(spec.divisors, spec.unions))
-    return PointVerdict(accepted=all(v.passed for v in verdicts), divisors=verdicts)
+    if allowed is not None:
+        for lbl, cond in spec.divisors:
+            if not isinstance(cond, (*allowed, LogCondition)):
+                raise ValueError(f"divisor {lbl!r}: condition {format_condition(cond)!r} not allowed here")
+    verdicts = tuple([_check_divisor(lbl, cond, union, vec[lbl])
+                      for (lbl, cond), union in zip(spec.divisors, spec.unions)])
+    return PointVerdict(all([v.passed for v in verdicts]), verdicts)
 
 
 def check_campana_point(spec: CPairSpec, vec: Mapping[str, DivisorValuations]) -> PointVerdict:

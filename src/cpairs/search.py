@@ -48,7 +48,10 @@ it and stops at the first prime outside S whose exponent the condition
 refuses.  The sieve pair and a union holding 1 accept every candidate, so
 they are not checked.  Only accepts build valuation vectors, and
 `check_generalized_point_dedekind` re-verifies each one; a disagreement is
-a hard internal error.
+a hard internal error.  A vector's entries are taken from `factor`'s output
+as it stands (`DivisorValuations._of_factors`), so the re-check judges every
+multiplicity without validating again what `factor` guarantees, and
+`P1PointRecord.json_line` formats an accept's JSON line from its integers.
 """
 
 from __future__ import annotations
@@ -327,9 +330,12 @@ def parse_projective_point(text: str) -> tuple[int, int]:
 
 
 def format_projective_point(pt: tuple[int, int]) -> str:
+    """"inf" for q = 0, else the text of p / q in lowest terms (no `Fraction` for a canonical pair)."""
     p, q = pt
     if q == 0:
         return "inf"
+    if type(p) is type(q) is int and q > 0 and math.gcd(p, q) == 1:
+        return str(p) if q == 1 else f"{p}/{q}"
     return format_rational(Fraction(p, q))
 
 
@@ -351,6 +357,13 @@ class P1PointRecord(NamedTuple):
             "flags": list(self.flags),
         }
 
+    def json_line(self) -> str:
+        """`json.dumps(self.to_json_obj())`, formatted from the integers: the point is digits,
+        "-", "/" or "inf" and each flag a fixed word, so nothing needs escaping."""
+        flags = ", ".join([f'"{f}"' for f in self.flags])
+        return (f'{{"point": "{format_projective_point((self.p, self.q))}", "height": {self.height}, '
+                f'"verdict": "accept", "flags": [{flags}]}}')
+
 
 def point_valuation_vector(
     p: int, q: int, divisors: Sequence[tuple[tuple[int, int], object]], ctx: SIntegerContext
@@ -359,17 +372,19 @@ def point_valuation_vector(
 
     At a prime l outside S the multiplicity against the divisor point (a : b)
     is v_l(p*b - q*a); the point is contained in the divisor when that
-    resultant vanishes.
+    resultant vanishes.  `factor` gives the primes ascending, so the
+    multiplicities go to `DivisorValuations._of_factors` without revalidation.
     """
     vec: dict[str, DivisorValuations] = {}
+    s = ctx.primes
     for (a, b), _cond in divisors:
         t = p * b - q * a
         label = format_projective_point((a, b))
         if t == 0:
             vec[label] = DivisorValuations(contained=True)
         else:
-            mults = {pp: e for pp, e in factor(t).factors if pp not in ctx.primes and e >= 1}
-            vec[label] = DivisorValuations(mults=mults)
+            vec[label] = DivisorValuations._of_factors(
+                tuple([pe for pe in factor(t).factors if pe[0] not in s]))
     return vec
 
 
@@ -584,9 +599,10 @@ def enumerate_campana_points_p1(
         if in_support and not include_support_points:
             continue
         verdict = check_generalized_point_dedekind(spec, point_valuation_vector(p, q, divisors, ctx))
-        if not verdict.accepted or ("in_support" in verdict.flags) != in_support:
+        flags = verdict.flags
+        if not verdict.accepted or ("in_support" in flags) != in_support:
             # an accept the condition check refuses exposes a bug, so fail loudly
             raise AssertionError(f"integer verdict and condition check disagree at ({p} : {q})")
-        out.append(P1PointRecord(p, q, verdict.flags))
+        out.append(P1PointRecord(p, q, flags))
     out.sort(key=lambda r: (r.height, r.q, r.p))
     return out

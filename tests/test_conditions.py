@@ -137,6 +137,17 @@ def test_checker_condition_kinds():
     assert check_generalized_point_dedekind(CPairSpec([("D", AtLeast(2))]), vec).accepted
 
 
+def test_checkers_compare_labels_with_the_pairs():
+    spec = CPairSpec([("D", AtLeast(2)), ("E", AtLeast(2))])
+    for vec in (_vec(D={3: 2}), _vec(D={3: 2}, E={}, F={}), _vec(D={3: 2}, F={})):
+        for check in (check_campana_point, check_generalized_point_dedekind):
+            with pytest.raises(ValueError, match="do not match pair labels"):
+                check(spec, vec)
+    # a copied or unpickled pair carries its label set along
+    for same in (spec, copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+        assert check_generalized_point_dedekind(same, _vec(E={}, D={3: 2})).accepted
+
+
 def test_check_darmon_point():
     spec = CPairSpec([("D", DivisibleBy(3))])
     assert check_darmon_point(spec, _vec(D={2: 6, 5: 3})).accepted

@@ -11,12 +11,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cpairs import search
-from cpairs.arith import SIntegerContext, _factor_positive, factor, factor_many
+from cpairs.arith import SIntegerContext, _factor_positive, factor, factor_many, format_rational
 from cpairs.cli import _search_cells, emit, main
-from cpairs.conditions import AtLeast, DivisibleBy, LOG, condition_element_union, parse_condition, parse_pair_spec
+from cpairs.conditions import (
+    AtLeast, DivisibleBy, DivisorValuations, LOG, condition_element_union, parse_condition, parse_pair_spec)
 from cpairs.search import (
     P1PointRecord,
     PointRecord,
@@ -384,6 +386,7 @@ def test_projective_point_strings():
     assert parse_projective_point("-9/8") == (-9, 8)
     assert format_projective_point((1, 0)) == "inf"
     assert format_projective_point((0, 1)) == "0"
+    assert format_projective_point((True, 1)) == "1"  # not canonical: an int subclass goes through Fraction
 
 
 def test_p1_fixture_small_height():
@@ -552,6 +555,69 @@ def test_p1_verdict_factors_only_unlisted_divisors(text, height, s, factored, mo
     assert all(x in resultants for name, x in calls if name == "_integer_verdict")
     verdict_calls = callers["_integer_verdict"]
     assert (verdict_calls > 0) == (factored > 0) and verdict_calls <= len(candidates) * factored
+
+
+@pytest.mark.parametrize("text,height,s,_", LINE_PAIRS, ids=["2-2-2", "40-2-2", "union-div-log"])
+def test_p1_recheck_catches_one_extra_accept(text, height, s, _, monkeypatch):
+    # a verdict that also accepts the first candidate it rejects must meet the condition check's refusal
+    verdict, extra = search._integer_verdict, []
+
+    def accepts_one_more(p, q, checks, s_primes):
+        if verdict(p, q, checks, s_primes):
+            return True
+        extra.append((p, q))
+        return len(extra) == 1
+
+    monkeypatch.setattr(search, "_integer_verdict", accepts_one_more)
+    with pytest.raises(AssertionError, match="disagree"):
+        enumerate_campana_points_p1(_pair(text), s, height)
+    assert len(extra) == 1
+
+
+@pytest.mark.parametrize("text,height,s,_", LINE_PAIRS, ids=["2-2-2", "40-2-2", "union-div-log"])
+def test_p1_recheck_catches_a_lost_support_flag(text, height, s, _, monkeypatch):
+    # vectors that put a point on a divisor off it (no multiplicities) drop its in_support flag
+    vector = search.point_valuation_vector
+
+    def off_every_divisor(*args):
+        return {lbl: DivisorValuations() if dv.contained else dv for lbl, dv in vector(*args).items()}
+
+    monkeypatch.setattr(search, "point_valuation_vector", off_every_divisor)
+    with pytest.raises(AssertionError, match="disagree"):
+        enumerate_campana_points_p1(_pair(text), s, height)
+
+
+CANONICAL_POINTS = st.one_of(
+    st.just((1, 0)),
+    st.tuples(st.integers(-10**30, 10**30), st.just(1)),
+    st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)).filter(lambda pq: math.gcd(*pq) == 1))
+
+
+@given(pt=CANONICAL_POINTS, flags=st.sampled_from([(), ("in_support",)]))
+def test_p1_json_line_equals_json_dumps(pt, flags):
+    r = P1PointRecord(*pt, flags)
+    assert r.json_line() == json.dumps(r.to_json_obj())
+
+
+@given(p=st.integers(-10**30, 10**30), q=st.integers(-10**30, 10**30).filter(bool))
+def test_projective_point_text_is_that_of_the_fraction(p, q):
+    # canonical pairs skip the Fraction, every other pair reduces through it
+    assert format_projective_point((p, q)) == format_rational(Fraction(p, q))
+    assert format_projective_point((p, 0)) == "inf"
+
+
+@settings(max_examples=200)
+@given(p=st.integers(-10**6, 10**6), q=st.integers(0, 10**6), s=st.sets(st.sampled_from((2, 3, 5, 7))))
+def test_point_valuation_vector_equals_validated_data(p, q, s):
+    # the entries built from factor's output equal those the validating constructor builds from sympy
+    divisors = [(pt, LOG) for pt in ((0, 1), (1, 0), (1, 1), (-3, 2), (7, 5))]
+    vec = search.point_valuation_vector(p, q, divisors, SIntegerContext(s))
+    assert list(vec) == [format_projective_point(pt) for pt, _ in divisors]
+    for ((a, b), _), got in zip(divisors, vec.values()):
+        t = p * b - q * a
+        want = DivisorValuations(contained=True) if t == 0 else \
+            DivisorValuations(mults={l: e for l, e in sympy.factorint(abs(t)).items() if l not in s})
+        assert (got, hash(got), got.to_json_obj()) == (want, hash(want), want.to_json_obj())
 
 
 @pytest.mark.parametrize("oracle_divisors,s", [
